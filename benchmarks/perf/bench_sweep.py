@@ -25,8 +25,7 @@ trajectory to compare against:
 6. **scale** -- the 1024-rank row of the same workload (256 ranks in
    quick mode), with a same-session 64-rank anchor and the per-rank
    throughput comparison against its naive ``x nranks/64``
-   extrapolation -- the regime the coalesced alarm path and sharded
-   execution target;
+   extrapolation -- the regime the coalesced alarm path targets;
 7. **ckpt_transport** -- the contention study: the same Sage
    configuration with the flat write-out estimate and with checkpoints
    as real scheduled traffic (``--ckpt-transport network``), reporting

@@ -71,12 +71,6 @@ class AppRunContext:
     blocks: dict[str, list] = field(default_factory=dict)
     #: per-region sweep cursors for cursor-continuing compute phases
     sweep_cursors: dict[str, int] = field(default_factory=dict)
-    #: transient-Region cache: name -> (block geometry, Region).  The
-    #: address-space arena hands the steady-state AllocPhase the same
-    #: segments at the same bases every iteration, so the Region built
-    #: over them (a pure host-side view) can be reused instead of
-    #: reconstructed; a geometry mismatch falls back to a rebuild.
-    region_cache: dict[str, tuple] = field(default_factory=dict)
     iteration_starts: list[float] = field(default_factory=list)
     init_end_time: float = 0.0
     iterations: int = 0
@@ -145,8 +139,7 @@ class ScientificApplication:
                  run_duration: Optional[float] = None,
                  n_iterations: Optional[int] = None,
                  charge_overhead: bool = False,
-                 layout: Optional[Layout] = None,
-                 phantom_ranks: Optional[frozenset] = None):
+                 layout: Optional[Layout] = None):
         if run_duration is None and n_iterations is None:
             raise ConfigurationError(
                 "need run_duration and/or n_iterations to bound the run")
@@ -155,10 +148,6 @@ class ScientificApplication:
         self.n_iterations = n_iterations
         self.charge_overhead = charge_overhead
         self.layout = layout or Layout()
-        #: ranks owned by another shard in a sharded run: their processes
-        #: carry O(1) phantom page state (see PhantomPageTable) while the
-        #: event skeleton -- compute timing, MPI, network -- runs in full
-        self.phantom_ranks = phantom_ranks or frozenset()
         self._contexts: list[AppRunContext] = []
 
     # -- process construction -----------------------------------------------------
@@ -183,8 +172,7 @@ class ScientificApplication:
                 data = 2 * MiB
                 bss = 2 * MiB
             return Process(engine, name=f"{spec.name}.r{rank}",
-                           layout=self.layout, data_size=data, bss_size=bss,
-                           phantom=rank in self.phantom_ranks)
+                           layout=self.layout, data_size=data, bss_size=bss)
 
         return make
 

@@ -260,19 +260,10 @@ class AllocPhase(Phase):
         yield from sweep(rc, region, self.duration, passes=1.0)
 
     def _materialize(self, rc: "AppRunContext", per_block: int):
-        """Allocate the blocks and the Region view over them, reusing the
-        cached Region when the address-space arena returned the same
-        segments at the same addresses as last iteration (the steady
-        state after iteration one)."""
+        """Allocate the blocks and the Region view over them."""
         blocks = [rc.allocator.malloc(per_block)
                   for _ in range(self.nblocks)]
-        geometry = [(b.segment, b.addr, b.size) for b in blocks]
-        cached = rc.region_cache.get(self.name)
-        if cached is not None and cached[0] == geometry:
-            return blocks, cached[1]
-        region = Region.from_blocks(self.name, rc.memory, blocks)
-        rc.region_cache[self.name] = (geometry, region)
-        return blocks, region
+        return blocks, Region.from_blocks(self.name, rc.memory, blocks)
 
 
 class FreePhase(Phase):

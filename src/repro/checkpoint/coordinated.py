@@ -132,11 +132,6 @@ class CheckpointEngine:
         #: precomputed per-rank track names for the capture hot path
         self._tracks = {r: f"ckpt.r{r}" for r in range(job.nranks)}
         self._obs_cache = None
-        #: captures awaiting the coalesced epoch flush: (rank, ckpt,
-        #: tracker) in capture (= rank) order.  Populated only when the
-        #: engine coalesces timers; the per-timer path submits inline.
-        self._pending: list = []
-        self._flush_hooked = False
         # run after the library's own init hook, so the tracker exists
         job.init_hooks.append(self._on_rank_start)
 
@@ -166,12 +161,6 @@ class CheckpointEngine:
         self._captures.setdefault(rank, 0)
         tracker.slice_listeners.append(
             lambda record, trk, r=rank: self._on_slice(r, record, trk))
-        hub = self.job.engine.timer_hub
-        if hub is not None and not self._flush_hooked:
-            # batch the epoch's piece submissions: the hub calls this
-            # after the last co-scheduled alarm, inside the same event
-            hub.epoch_listeners.append(self._flush_epoch)
-            self._flush_hooked = True
 
     # -- the per-slice hook -------------------------------------------------------------
 
@@ -225,27 +214,7 @@ class CheckpointEngine:
                 tracer.instant("capture", "checkpoint", now,
                                track=self._tracks[rank], seq=seq,
                                kind=ckpt.kind, bytes=ckpt.nbytes)
-        if self._flush_hooked and not self.job.engine.obs.tracer.enabled:
-            # coalesced engine: defer the transport hand-off to the
-            # epoch flush, one batch after all co-scheduled captures.
-            # The deferral reorders only same-instant python work, but a
-            # recording tracer logs emission order -- so with tracing on
-            # we keep the inline order and stay byte-comparable with the
-            # per-timer path.
-            self._pending.append((rank, ckpt, tracker))
-            return
         self._submit(rank, ckpt, tracker)
-
-    def _flush_epoch(self) -> None:
-        """Submit the epoch's captured pieces as one batch (called by the
-        timer hub after the last co-scheduled alarm; same engine event,
-        same instant, same rank order as the inline path)."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        for rank, ckpt, tracker in pending:
-            self._submit(rank, ckpt, tracker)
 
     def _submit(self, rank: int, ckpt, tracker: DirtyPageTracker) -> None:
         stall = self._write_out(rank, ckpt)

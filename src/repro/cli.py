@@ -149,16 +149,6 @@ def _finish_obs(obs, args, out) -> None:
               f"({len(obs.metrics.all_series())} series)", file=out)
 
 
-def _reject_profile_with_workers(args, what: str) -> bool:
-    """--profile-out measures the in-process engine; worker-process
-    modes would profile only the parent.  True when rejected."""
-    if args.profile_out:
-        print(f"--profile-out is incompatible with {what}: the profiler "
-              f"attributes this process's engine events", file=sys.stderr)
-        return True
-    return False
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -174,11 +164,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=int, default=4)
     run.add_argument("--duration", type=float, default=None,
                      help="simulated seconds after initialization")
-    run.add_argument("--shards", type=_positive_int, default=1,
-                     help="simulate rank groups in N worker processes "
-                          "and merge deterministically (default 1: "
-                          "in-process; results are sim-identical at "
-                          "any shard count)")
     run.add_argument("--save-trace", metavar="DIR", default=None,
                      help="write per-rank traces (npz+json) to DIR")
     run.add_argument("--ckpt-transport",
@@ -221,10 +206,6 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the sweep (default 1: "
                             "serial; results are identical at any count)")
-    sweep.add_argument("--shards", type=_positive_int, default=1,
-                       help="shard each run's rank groups across N "
-                            "worker processes (serial sweeps only; "
-                            "mutually exclusive with --jobs > 1)")
     sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent result cache (default: "
                             "$REPRO_CACHE_DIR if set, else no cache)")
@@ -399,8 +380,6 @@ def cmd_list_apps(out) -> int:
 
 def cmd_run(args, out) -> int:
     """``run``: one instrumented experiment, stats to stdout."""
-    if args.shards > 1 and _reject_profile_with_workers(args, "--shards > 1"):
-        return 2
     from repro.errors import ConfigurationError
     try:
         config = paper_config(args.app, nranks=args.ranks,
@@ -415,7 +394,7 @@ def cmd_run(args, out) -> int:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
     obs = _make_obs(args)
-    result = run_experiment(config, obs=obs, shards=args.shards)
+    result = run_experiment(config, obs=obs)
     _finish_obs(obs, args, out)
     print(f"{args.app}: {result.final_time:.1f} s simulated, "
           f"{result.iterations} iterations, {args.ranks} ranks", file=out)
@@ -459,8 +438,11 @@ def cmd_sweep(args, out) -> int:
     if not timeslices:
         print("no timeslices given", file=sys.stderr)
         return 2
-    if (args.jobs > 1 or args.shards > 1) and _reject_profile_with_workers(
-            args, "--jobs/--shards > 1"):
+    if args.jobs > 1 and args.profile_out:
+        # the profiler attributes in-process engine events; pool workers
+        # would leave it profiling only the parent
+        print("--profile-out is incompatible with --jobs > 1: the profiler "
+              "attributes this process's engine events", file=sys.stderr)
         return 2
     cache = None if args.no_cache else default_cache(args.cache_dir)
     config = paper_config(args.app, nranks=args.ranks,
@@ -468,7 +450,7 @@ def cmd_sweep(args, out) -> int:
     obs = _make_obs(args)
     t0 = time.perf_counter()
     results = sweep_timeslices(config, timeslices, jobs=args.jobs,
-                               cache=cache, obs=obs, shards=args.shards)
+                               cache=cache, obs=obs)
     elapsed = time.perf_counter() - t0
     _finish_obs(obs, args, out)
     print(f"{args.app}: average/maximum IB vs timeslice", file=out)

@@ -177,8 +177,7 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig,
-                   obs=None, *, shards: int = 1,
-                   coalesce_timers: bool = True,
+                   obs=None, *, coalesce_timers: bool = True,
                    coalesce_events: bool = True) -> ExperimentResult:
     """Run one instrumented experiment on the simulated cluster.
 
@@ -187,33 +186,12 @@ def run_experiment(config: ExperimentConfig,
     component hanging off it; ``None`` (the default) is the zero-cost
     disabled path.
 
-    ``shards`` > 1 partitions the ranks into node-aligned groups and
-    simulates each group in its own worker process, merging the streams
-    into one sim-identical result (see :mod:`repro.cluster.shards` for
-    the protocol and its configuration gate).  ``coalesce_timers=False``
-    selects the seed per-timer engine path instead of the coalesced
-    :class:`~repro.sim.timers.TimerHub` (the differential suite compares
-    the two).  ``coalesce_events=False`` likewise selects the seed
-    one-event-per-wake/per-delivery engine path instead of the coalesced
-    batches (:meth:`~repro.sim.Engine.schedule_coalesced`)."""
-    if shards > 1:
-        from repro.cluster.shards import run_sharded  # deferred: shards imports us
-        return run_sharded(config, obs=obs, shards=shards,
-                           coalesce_timers=coalesce_timers)
-    return _execute(config, obs, coalesce_timers,
-                    coalesce_events=coalesce_events)
-
-
-def _execute(config: ExperimentConfig, obs, coalesce_timers: bool,
-             phantom_ranks: frozenset = frozenset(),
-             before_run=None, coalesce_events: bool = True) -> ExperimentResult:
-    """Build the full simulation and run it to completion.
-
-    The seam shared by the in-process path and the shard workers:
-    ``phantom_ranks`` marks ranks whose page tables are inert
-    placeholders (owned by another shard), and ``before_run(engine,
-    app, job, library)`` lets the caller attach listeners after install
-    but before launch."""
+    ``coalesce_timers=False`` selects the seed per-timer engine path
+    instead of the coalesced :class:`~repro.sim.timers.TimerHub` (the
+    differential suite compares the two).  ``coalesce_events=False``
+    likewise selects the seed one-event-per-wake/per-delivery engine
+    path instead of the coalesced batches
+    (:meth:`~repro.sim.Engine.schedule_coalesced`)."""
     engine = Engine(obs=obs, coalesce_timers=coalesce_timers,
                     coalesce_wakes=coalesce_events,
                     coalesce_deliveries=coalesce_events)
@@ -226,7 +204,7 @@ def _execute(config: ExperimentConfig, obs, coalesce_timers: bool,
     run_duration = max(run_duration, 5.0 * config.timeslice)
     app = ScientificApplication(config.spec, run_duration=run_duration,
                                 charge_overhead=config.charge_overhead,
-                                layout=layout, phantom_ranks=phantom_ranks)
+                                layout=layout)
     job = MPIJob(engine, config.nranks, layout=layout,
                  procs_per_node=config.procs_per_node,
                  process_factory=app.process_factory(engine),
@@ -252,8 +230,6 @@ def _execute(config: ExperimentConfig, obs, coalesce_timers: bool,
                                 transport=config.ckpt_transport,
                                 mode=config.ckpt_mode,
                                 dcp_block_size=config.dcp_block_size)
-    if before_run is not None:
-        before_run(engine, app, job, library)
     procs = job.launch(app.make_body())
     engine.run(detect_deadlock=True)
     for p in procs:
@@ -307,44 +283,41 @@ def run_uninstrumented(config: ExperimentConfig) -> ExperimentResult:
 
 def sweep_timeslices(config: ExperimentConfig,
                      timeslices: list[float], *, jobs: int = 1,
-                     cache=None, obs=None,
-                     shards: int = 1) -> dict[float, ExperimentResult]:
+                     cache=None, obs=None) -> dict[float, ExperimentResult]:
     """One run per timeslice (the sweep behind Figs 2-4).  Re-running per
     timeslice matters: page reuse within longer slices cannot be derived
     from a finer-grained run, because the dirty set resets at each alarm.
 
     ``jobs`` fans the independent runs across a process pool; ``cache``
     (a :class:`repro.exec.ResultCache`) makes repeat sweeps near-instant.
-    ``shards`` shards each run's rank groups (serial sweeps only).
-    Results are identical at any job or shard count (see DESIGN.md)."""
+    Results are identical at any job count (see DESIGN.md)."""
     if not timeslices:
         raise ConfigurationError("empty timeslice sweep")
     return _run_sweep(config, "timeslice", timeslices, jobs=jobs,
-                      cache=cache, obs=obs, shards=shards)
+                      cache=cache, obs=obs)
 
 
 def sweep_processors(config: ExperimentConfig,
                      nranks_list: list[int], *, jobs: int = 1,
-                     cache=None, obs=None,
-                     shards: int = 1) -> dict[int, ExperimentResult]:
+                     cache=None, obs=None) -> dict[int, ExperimentResult]:
     """One run per processor count under weak scaling (Fig 5): the
     per-process footprint is fixed; only the rank count changes."""
     if not nranks_list:
         raise ConfigurationError("empty processor sweep")
     return _run_sweep(config, "nranks", nranks_list, jobs=jobs,
-                      cache=cache, obs=obs, shards=shards)
+                      cache=cache, obs=obs)
 
 
 def _run_sweep(config: ExperimentConfig, field_name: str, values: list,
-               *, jobs: int, cache, obs=None, shards: int = 1) -> dict:
+               *, jobs: int, cache, obs=None) -> dict:
     """Fan one-field sweeps through the executor, deduplicating repeated
     values (matching the dict semantics the serial loop always had)."""
     from repro.exec import SweepExecutor  # deferred: exec imports us
 
     unique = list(dict.fromkeys(values))
     configs = [config.scaled(**{field_name: v}) for v in unique]
-    results = SweepExecutor(jobs=jobs, cache=cache, obs=obs,
-                            shards=shards).run_many(configs)
+    results = SweepExecutor(jobs=jobs, cache=cache,
+                            obs=obs).run_many(configs)
     return dict(zip(unique, results))
 
 

@@ -34,12 +34,6 @@ class DeadlockError(SimulationError):
     """The event queue drained while processes were still blocked."""
 
 
-class ShardDivergenceError(SimulationError):
-    """Sharded rank-group runs disagreed where determinism requires
-    bit-identical streams (cross-shard traffic digests, event counts,
-    or the merged trace); the shards did not walk the same simulation."""
-
-
 # --------------------------------------------------------------------------
 # Memory subsystem
 # --------------------------------------------------------------------------

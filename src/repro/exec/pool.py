@@ -123,28 +123,15 @@ class SweepExecutor:
         :func:`~repro.obs.probe`.  Pool workers run without it (tracers
         do not cross process boundaries), but cache and sweep-level
         counters are still recorded.
-    shards:
-        Rank-group shards per run (see :mod:`repro.cluster.shards`).
-        Serial sweeps only: the shard runner owns the warm pool, so
-        combining ``jobs > 1`` with ``shards > 1`` is rejected rather
-        than nesting process pools.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 obs=None, shards: int = 1):
+                 obs=None):
         if jobs < 1:
             raise ConfigurationError(f"need at least one job, got {jobs}")
-        if shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {shards}")
-        if jobs > 1 and shards > 1:
-            raise ConfigurationError(
-                "sharded runs need the worker pool to themselves; use "
-                "either jobs > 1 (parallel sweep points) or shards > 1 "
-                "(parallel rank groups per point), not both")
         self.jobs = jobs
         self.cache = cache
         self.obs = obs
-        self.shards = shards
 
     def run_many(self, configs: Sequence) -> list:
         """One :class:`ExperimentResult` per config, in submission order."""
@@ -181,8 +168,7 @@ class SweepExecutor:
                 miss_idx.append(i)
         for n, i in enumerate(miss_idx):
             with probe(obs, "exec.run"):
-                results[i] = run_experiment(configs[i], obs=obs,
-                                            shards=self.shards)
+                results[i] = run_experiment(configs[i], obs=obs)
             if self.cache is not None:
                 self.cache.put(configs[i], results[i])
             if obs is not None and obs.progress is not None:

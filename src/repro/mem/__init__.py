@@ -20,7 +20,7 @@ library relies on:
 
 from repro.mem.blocks import BlockTable
 from repro.mem.layout import Layout
-from repro.mem.pagetable import PageTable, PhantomPageTable
+from repro.mem.pagetable import PageTable
 from repro.mem.segment import Segment, SegmentKind
 from repro.mem.address_space import AddressSpace, WriteResult
 
@@ -29,7 +29,6 @@ __all__ = [
     "BlockTable",
     "Layout",
     "PageTable",
-    "PhantomPageTable",
     "Segment",
     "SegmentKind",
     "WriteResult",

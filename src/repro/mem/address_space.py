@@ -54,8 +54,7 @@ class AddressSpace:
     def __init__(self, layout: Optional[Layout] = None, *,
                  data_size: int = 0, bss_size: int = 0,
                  stack_size: int = 64 * 1024,
-                 store_contents: bool = False,
-                 phantom: bool = False):
+                 store_contents: bool = False):
         self.layout = layout or Layout()
         ps = self.layout.page_size
         self._version = 0
@@ -64,28 +63,24 @@ class AddressSpace:
         #: Off by default -- the paper's metrics need only page versions,
         #: and signatures keep full-scale footprints cheap.
         self.store_contents = store_contents
-        #: phantom address spaces (ranks owned by another shard) carry
-        #: O(1) no-op page state in every segment; see PhantomPageTable
-        self.phantom = phantom
 
         self.text = Segment(SegmentKind.TEXT, self.layout.text_base,
-                            page_align_up(self.layout.text_size, ps), ps,
-                            phantom=phantom)
+                            page_align_up(self.layout.text_size, ps), ps)
         self.data = Segment(SegmentKind.DATA, self.layout.data_base,
                             page_align_up(data_size, ps), ps,
-                            store_contents=store_contents, phantom=phantom)
+                            store_contents=store_contents)
         self.bss = Segment(SegmentKind.BSS, self.data.end,
                            page_align_up(bss_size, ps), ps,
-                           store_contents=store_contents, phantom=phantom)
+                           store_contents=store_contents)
         # the heap starts empty, immediately after the BSS
         self.heap = Segment(SegmentKind.HEAP, self.bss.end, 0, ps,
-                            store_contents=store_contents, phantom=phantom)
+                            store_contents=store_contents)
         stack_size = page_align_up(stack_size, ps)
         if stack_size > self.layout.max_stack:
             raise MappingError(
                 f"stack size {stack_size} exceeds limit {self.layout.max_stack}")
         self.stack = Segment(SegmentKind.STACK, self.layout.stack_top - stack_size,
-                             stack_size, ps, phantom=phantom)
+                             stack_size, ps)
 
         #: mmap'ed segments, keyed by base address
         self._mmaps: dict[int, Segment] = {}
@@ -233,10 +228,6 @@ class AddressSpace:
         dcp checkpoints a sub-page view of what actually changed.
         Idempotent for the same block size; a second size raises.
         """
-        if self.phantom:
-            raise MappingError(
-                "cannot track blocks on a phantom address space "
-                "(rank owned by another shard)")
         if self._block_size is not None:
             if self._block_size != block_size:
                 raise MappingError(
@@ -412,8 +403,7 @@ class AddressSpace:
             base = self._find_mmap_gap(size)
             seg = Segment(SegmentKind.MMAP, base, size, self.page_size,
                           name=name or f"mmap@{base:#x}",
-                          store_contents=self.store_contents,
-                          phantom=self.phantom)
+                          store_contents=self.store_contents)
         self._attach_blocks(seg)
         self._mmaps[base] = seg
         self._invalidate_caches()
@@ -440,8 +430,7 @@ class AddressSpace:
                 f"fixed mapping at {base:#x} overlaps {conflict!r}")
         seg = Segment(SegmentKind.MMAP, base, size, self.page_size,
                       name=name or f"mmap@{base:#x}",
-                      store_contents=self.store_contents,
-                      phantom=self.phantom)
+                      store_contents=self.store_contents)
         self._attach_blocks(seg)
         self._mmaps[base] = seg
         self._invalidate_caches()

@@ -285,103 +285,3 @@ class PageTable:
         return (f"<PageTable npages={self.npages} dirty={self.dirty_count()} "
                 f"protected={int(np.count_nonzero(self.protected))}>")
 
-
-class PhantomPageTable:
-    """O(1) stand-in for a rank simulated by *another* shard.
-
-    A sharded run replicates the full event skeleton in every worker but
-    keeps real page state only for the ranks the worker owns; remote
-    ranks carry a phantom table.  Every operation is a constant-time
-    no-op: stores take no faults, nothing is ever dirty, and the alarm's
-    re-protect sweep skips the segment via the ``_ndirty == 0`` /
-    ``_all_protected`` fast flags -- so a worker pays the page-state cost
-    of only its own rank group.
-
-    Valid only when simulated *timing* is independent of page state:
-    no overhead charging, no checkpoint capture, receive interception on
-    (enforced by the shard runner).  Asking a phantom for content state
-    (``protected`` / ``dirty`` / ``versions``) raises, so any accidental
-    use outside that envelope fails loudly instead of silently lying.
-    """
-
-    __slots__ = ("npages",)
-
-    #: class-level constants: the alarm sweep reads these attributes
-    _ndirty = 0
-    _dirty_overlap = False
-    _all_protected = True
-
-    def __init__(self, npages: int):
-        if npages < 0:
-            raise MappingError(f"negative page count: {npages}")
-        self.npages = npages
-
-    def _no_state(self):
-        raise MappingError(
-            "phantom page table has no page state (rank owned by another "
-            "shard)")
-
-    protected = property(_no_state)
-    dirty = property(_no_state)
-    versions = property(_no_state)
-
-    def cpu_write(self, lo: int, hi: int, version: int) -> int:
-        """A CPU store: no state, no faults."""
-        self._check_range(lo, hi)
-        return 0
-
-    def dma_write(self, lo: int, hi: int, version: int) -> int:
-        """A device store: no state, nothing missed."""
-        self._check_range(lo, hi)
-        return 0
-
-    def protect_all(self) -> None:
-        """No-op (phantoms are permanently 'all protected')."""
-
-    def protect_range(self, lo: int, hi: int, value: bool = True) -> None:
-        """No-op beyond bounds checking."""
-        self._check_range(lo, hi)
-
-    def unprotect_all(self) -> None:
-        """No-op."""
-
-    def any_protected(self, lo: int, hi: int) -> bool:
-        """Always False: nothing faults and DMA never conflicts."""
-        self._check_range(lo, hi)
-        return False
-
-    def dirty_count(self) -> int:
-        """Always zero."""
-        return 0
-
-    def dirty_indices(self) -> np.ndarray:
-        """Always empty."""
-        return np.zeros(0, dtype=np.int64)
-
-    def reset_dirty(self) -> None:
-        """No-op."""
-
-    def recycle(self) -> None:
-        """No-op (phantoms carry no state to reset)."""
-
-    def resize(self, npages: int) -> None:
-        """Track the new size (geometry must stay exact for bounds
-        checks and footprint totals); no state to carry or wipe."""
-        if npages < 0:
-            raise MappingError(f"negative page count: {npages}")
-        self.npages = npages
-
-    def split(self, at: int) -> "PhantomPageTable":
-        """Split off pages ``[at, npages)`` into a new phantom."""
-        self._check_range(at, self.npages)
-        tail = PhantomPageTable(self.npages - at)
-        self.npages = at
-        return tail
-
-    def _check_range(self, lo: int, hi: int) -> None:
-        if not (0 <= lo <= hi <= self.npages):
-            raise MappingError(
-                f"page range [{lo}, {hi}) outside table of {self.npages} pages")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PhantomPageTable npages={self.npages}>"

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.errors import MappingError
 from repro.mem.blocks import BlockTable
-from repro.mem.pagetable import PageTable, PhantomPageTable
+from repro.mem.pagetable import PageTable
 from repro.units import is_power_of_two
 
 
@@ -52,7 +52,7 @@ class Segment:
 
     def __init__(self, kind: SegmentKind, base: int, size: int,
                  page_size: int, name: str = "", sid: Optional[int] = None,
-                 store_contents: bool = False, phantom: bool = False):
+                 store_contents: bool = False):
         if not is_power_of_two(page_size):
             raise MappingError(f"bad page size {page_size}")
         if base % page_size:
@@ -63,10 +63,7 @@ class Segment:
         self.kind = kind
         self.base = base
         self.page_size = page_size
-        # phantom segments (ranks owned by another shard) carry O(1)
-        # no-op page state instead of the real arrays
-        self.pages = (PhantomPageTable(size // page_size) if phantom
-                      else PageTable(size // page_size))
+        self.pages = PageTable(size // page_size)
         self.name = name or kind.value
         #: actual byte payload (the bytes backend); None under the
         #: default signature-only backend

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import MPIError, RankError
-from repro.net import Message, Network, NIC, SkeletonMessage
+from repro.net import Message, Network, NIC
 from repro.sim import Engine, Future
 
 ANY_SOURCE: int = -1
@@ -133,14 +133,8 @@ class RankComm:
         return self._send(dest, nbytes, tag, payload)
 
     def _send(self, dest: int, nbytes: int, tag: int, payload: Any) -> Message:
-        if payload is None:
-            # replicated skeleton traffic (barrier rounds, halo bulk):
-            # the slotted flyweight skips dataclass construction and the
-            # global message-id counter
-            msg = SkeletonMessage(self.rank, dest, nbytes, tag)
-        else:
-            msg = Message(src=self.rank, dst=dest, size=nbytes, tag=tag,
-                          payload=payload)
+        msg = Message(src=self.rank, dst=dest, size=nbytes, tag=tag,
+                      payload=payload)
         self.world.network.send(msg)
         self.bytes_sent += nbytes
         return msg
@@ -164,13 +158,8 @@ class RankComm:
         for dest in dests:
             if not (0 <= dest < size):
                 raise RankError(dest, size)
-        if payload is None:
-            rank = self.rank
-            msgs: list[Message] = [SkeletonMessage(rank, dest, nbytes, tag)
-                                   for dest in dests]
-        else:
-            msgs = [Message(src=self.rank, dst=dest, size=nbytes, tag=tag,
-                            payload=payload) for dest in dests]
+        msgs = [Message(src=self.rank, dst=dest, size=nbytes, tag=tag,
+                        payload=payload) for dest in dests]
         self.world.network.send_many(msgs)
         self.bytes_sent += nbytes * len(msgs)
         return msgs

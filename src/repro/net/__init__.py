@@ -9,7 +9,7 @@ instrumentation library intercepts receives through a bounce buffer.
 """
 
 from repro.net.models import LinkSpec, ETHERNET_1G, ETHERNET_100M, INFINIBAND_10G, QSNET2
-from repro.net.message import Message, SkeletonMessage
+from repro.net.message import Message
 from repro.net.network import Network, StoragePort
 from repro.net.nic import NIC
 from repro.net.topology import Topology
@@ -21,7 +21,6 @@ __all__ = [
     "LinkSpec",
     "Message",
     "Network",
-    "SkeletonMessage",
     "NIC",
     "QSNET2",
     "StoragePort",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.errors import NetworkError
 
@@ -37,33 +37,3 @@ class Message:
         return (f"<Message #{self.mid} {self.src}->{self.dst} tag={self.tag} "
                 f"{self.size}B>")
 
-
-class SkeletonMessage:
-    """Flyweight for payload-free skeleton traffic (barriers, halo
-    exchanges): duck-type compatible with :class:`Message` everywhere the
-    transport and matching layers look (src/dst/size/tag/payload and the
-    routing timestamps), but a plain slotted object -- no dataclass
-    machinery, no per-message id drawn from the global counter.
-    ``payload`` and ``mid`` are class attributes: the payload is by
-    definition ``None`` and the id is a shared sentinel (only ``Message``
-    reprs and tests consume ids).
-    """
-
-    __slots__ = ("src", "dst", "size", "tag", "send_time", "arrival_time")
-
-    payload: Any = None
-    mid: int = 0
-
-    def __init__(self, src: int, dst: int, size: int, tag: int = 0):
-        if size < 0:
-            raise NetworkError(f"negative message size {size}")
-        self.src = src
-        self.dst = dst
-        self.size = size
-        self.tag = tag
-        self.send_time = 0.0
-        self.arrival_time = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SkeletonMessage {self.src}->{self.dst} tag={self.tag} "
-                f"{self.size}B>")

@@ -28,13 +28,11 @@ class Process:
     def __init__(self, engine: Engine, name: str = "proc", *,
                  layout: Optional[Layout] = None,
                  data_size: int = 0, bss_size: int = 0,
-                 stack_size: int = 64 * 1024,
-                 phantom: bool = False):
+                 stack_size: int = 64 * 1024):
         self.engine = engine
         self.name = name
         self.memory = AddressSpace(layout, data_size=data_size,
-                                   bss_size=bss_size, stack_size=stack_size,
-                                   phantom=phantom)
+                                   bss_size=bss_size, stack_size=stack_size)
         self._signal_handlers: dict[Signal, Callable[..., Any]] = {}
         self._itimer: Optional[IntervalTimer] = None
         #: CPU time spent in instrumentation (fault handling, re-protect

@@ -41,22 +41,15 @@ class TimerHub:
     population exists in this codebase (every tracker of a run shares
     the one checkpoint timeslice), and each path is individually
     deterministic either way.
-
-    After every group sweep the hub calls its ``epoch_listeners`` --
-    still inside the same engine event, after the last co-scheduled
-    member.  The checkpoint engine uses this seam to submit the epoch's
-    checkpoint pieces as one batch.
     """
 
-    __slots__ = ("engine", "_groups", "epoch_listeners",
-                 "epochs", "expiries_swept", "max_group")
+    __slots__ = ("engine", "_groups", "epochs", "expiries_swept",
+                 "max_group")
 
     def __init__(self, engine: Engine):
         self.engine = engine
         #: (interval, next_time) -> _TimerGroup
         self._groups: dict[tuple[float, float], _TimerGroup] = {}
-        #: called with no arguments after each group sweep completes
-        self.epoch_listeners: list[Callable[[], Any]] = []
         # lifetime counters (surfaced by Engine.stats / the scale bench)
         self.epochs = 0
         self.expiries_swept = 0
@@ -109,9 +102,6 @@ class TimerHub:
             timer.handler(index)            # per-timer path does
         group.members = ()
         group.live = 0
-        if self.epoch_listeners:
-            for listener in self.epoch_listeners:
-                listener()
 
     def stats(self) -> dict:
         """Lifetime sweep counters (epochs fired, expiries swept, and

@@ -360,41 +360,3 @@ def test_property_dirty_count_matches_array_scan(seq):
             pt.protect_all()
         assert pt.dirty_count() == int(np.count_nonzero(pt.dirty))
 
-
-# -- phantom tables (sharded execution) -------------------------------------------
-
-def test_phantom_is_inert_and_bounds_checked():
-    from repro.mem import PhantomPageTable
-    pt = PhantomPageTable(16)
-    assert pt.cpu_write(0, 16, version=1) == 0
-    assert pt.dma_write(0, 8, version=2) == 0
-    pt.protect_all()
-    pt.reset_dirty()
-    assert pt.dirty_count() == 0
-    assert pt._ndirty == 0 and pt._all_protected
-    assert not pt.any_protected(0, 16)
-    assert len(pt.dirty_indices()) == 0
-    with pytest.raises(MappingError):
-        pt.cpu_write(0, 17, version=3)
-    with pytest.raises(MappingError):
-        PhantomPageTable(-1)
-
-
-def test_phantom_geometry_tracks_resize_and_split():
-    from repro.mem import PhantomPageTable
-    pt = PhantomPageTable(10)
-    pt.resize(30)
-    assert pt.npages == 30
-    tail = pt.split(12)
-    assert pt.npages == 12 and tail.npages == 18
-    assert isinstance(tail, PhantomPageTable)
-    pt.resize(0)
-    assert pt.npages == 0
-
-
-def test_phantom_refuses_content_state():
-    from repro.mem import PhantomPageTable
-    pt = PhantomPageTable(4)
-    for attr in ("protected", "dirty", "versions"):
-        with pytest.raises(MappingError):
-            getattr(pt, attr)

@@ -107,17 +107,6 @@ def test_empty_group_event_is_cancelled():
     assert not eng.timer_hub._groups
 
 
-def test_epoch_listeners_fire_after_each_sweep():
-    eng = Engine(coalesce_timers=True)
-    log = []
-    IntervalTimer(eng, 1.0, _record(log, "a"))
-    IntervalTimer(eng, 1.0, _record(log, "b"))
-    eng.timer_hub.epoch_listeners.append(lambda: log.append(("epoch", None)))
-    eng.run(until=2.5)
-    assert log == [("a", 0), ("b", 0), ("epoch", None),
-                   ("a", 1), ("b", 1), ("epoch", None)]
-
-
 def test_hub_created_lazily_only_when_coalescing():
     eng = Engine(coalesce_timers=False)
     IntervalTimer(eng, 1.0, lambda i: None)

