@@ -446,7 +446,7 @@ def bench_dcp(quick: bool) -> dict:
                 for o in store.pieces(rank)]
 
     inc, inc_s = timed(config)
-    dcp_cfg = config.scaled(ckpt_mode="dcp", dcp_block_size=block_size)
+    dcp_cfg = config.scaled(ckpt_block_size=block_size)
     dcp, dcp_s = timed(dcp_cfg)
     dcp2, _ = timed(dcp_cfg)
 

@@ -6,7 +6,8 @@ measurements argue for, which lets the tests prove the central identity:
 **the IWS is exactly the data an incremental checkpoint must save**.
 
 - :mod:`~repro.checkpoint.snapshot` -- checkpoint objects: segment
-  geometry + per-page content versions;
+  geometry + per-unit content versions (a unit is a page, or a
+  sub-page block);
 - :mod:`~repro.checkpoint.full` / :mod:`~repro.checkpoint.incremental`
   -- capture engines (the incremental one accumulates dirty pages across
   timeslices and handles segment growth/shrink/unmap);
@@ -21,8 +22,7 @@ measurements argue for, which lets the tests prove the central identity:
   (section 6.2: checkpoint between bursts, not inside them).
 """
 
-from repro.checkpoint.snapshot import (Checkpoint, BlockPayload, PagePayload,
-                                       SegmentRecord)
+from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.checkpoint.full import FullCheckpointer
 from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.dcp import DcpCheckpointer, content_block_hashes
@@ -53,7 +53,6 @@ from repro.checkpoint.uncoordinated import (
 )
 
 __all__ = [
-    "BlockPayload",
     "Checkpoint",
     "CheckpointEngine",
     "CheckpointPlanner",
@@ -70,7 +69,7 @@ __all__ = [
     "TransportStats",
     "LoggedMessage",
     "MessageLogger",
-    "PagePayload",
+    "Payload",
     "RecoveryManager",
     "RestartCoordinator",
     "SegmentRecord",

@@ -73,19 +73,14 @@ class CheckpointEngine:
                  cow: bool = False,
                  gc: bool = False,
                  transport: Union[None, str, TransportSpec] = None,
-                 mode: str = "incremental",
-                 dcp_block_size: int = 256):
+                 block_size: Optional[int] = None):
         if interval_slices < 1:
             raise CheckpointError(
                 f"interval_slices must be >= 1, got {interval_slices}")
         if full_every < 1:
             raise CheckpointError(f"full_every must be >= 1, got {full_every}")
-        if mode not in ("incremental", "dcp"):
-            raise CheckpointError(
-                f"unknown checkpoint mode {mode!r} "
-                f"(expected 'incremental' or 'dcp')")
-        self.mode = mode
-        self.dcp_block_size = dcp_block_size
+        #: delta unit granularity (bytes); None means the page size
+        self.block_size = block_size
         self.job = job
         self.library = library
         self.store = store or CheckpointStore(job.nranks)
@@ -151,11 +146,12 @@ class CheckpointEngine:
         old = self._incremental.get(rank)
         if old is not None:
             old.detach()
-        if self.mode == "dcp":
-            inc = DcpCheckpointer(ctx.process.memory,
-                                  block_size=self.dcp_block_size)
+        memory = ctx.process.memory
+        if (self.block_size is not None
+                and self.block_size < memory.page_size):
+            inc = DcpCheckpointer(memory, block_size=self.block_size)
         else:
-            inc = IncrementalCheckpointer(ctx.process.memory)
+            inc = IncrementalCheckpointer(memory, self.block_size)
         inc.mark_baseline()
         self._incremental[rank] = inc
         self._captures.setdefault(rank, 0)
@@ -195,10 +191,11 @@ class CheckpointEngine:
             m.counter(f"checkpoint.captures_{ckpt.kind}").inc()
             m.counter("checkpoint.bytes_captured").inc(ckpt.nbytes)
             if ckpt.kind == "dcp":
-                # inc is the DcpCheckpointer here; its last_* stats
-                # describe exactly this capture.  The hash cost is an
-                # observability figure only -- never charged to sim time,
-                # so dcp and incremental runs stay sim-identical.
+                # sub-page units: inc is the DcpCheckpointer, and its
+                # last_* stats describe exactly this capture.  The hash
+                # cost is an observability figure only -- never charged
+                # to sim time, so dcp and incremental runs stay
+                # sim-identical.
                 from repro.storage.integrity import HASH_BANDWIDTH
                 m.counter("ckpt.dcp.blocks_hashed").inc(
                     inc.last_blocks_hashed)

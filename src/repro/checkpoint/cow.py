@@ -46,8 +46,10 @@ class CowWriteout:
         self.page_size = checkpoint.page_size
         self.start_time = self.engine.now
         #: sid -> sorted array of captured page indices not yet flushed
+        per_page = checkpoint.page_size // checkpoint.block_size
         self._pending: dict[int, np.ndarray] = {
-            p.sid: p.indices.copy() for p in checkpoint.payloads
+            p.sid: np.unique(p.indices // per_page)
+            for p in checkpoint.payloads
         }
         self._pending_total = sum(len(v) for v in self._pending.values())
         self._initial_total = max(self._pending_total, 1)

@@ -27,9 +27,11 @@ Pages in the unconditionally-new portion of the capture mask (new
 segments, heap growth, shrink-then-regrow) emit **all** their blocks
 regardless of hash comparison: their baseline rows are stale or
 absent, and the incremental checkpointer saves them whole for the same
-reason.  This forced emit is what makes dcp at
-``block_size == page_size`` byte-for-byte identical to incremental
-mode.
+reason.  The capture loop itself is
+:meth:`IncrementalCheckpointer.capture`; this class only supplies the
+sub-page unit selection.  At ``block_size == page_size`` the plain
+:class:`IncrementalCheckpointer` needs none of it, and the checkpoint
+engine uses that instead.
 """
 
 from __future__ import annotations
@@ -39,10 +41,7 @@ import hashlib
 import numpy as np
 
 from repro.checkpoint.incremental import IncrementalCheckpointer
-from repro.checkpoint.full import geometry_of
-from repro.checkpoint.snapshot import (Checkpoint, BlockPayload,
-                                       SEGMENT_HEADER_BYTES)
-from repro.errors import CheckpointError
+from repro.checkpoint.snapshot import Checkpoint, SEGMENT_HEADER_BYTES
 from repro.mem import AddressSpace, Segment
 
 #: baseline sentinel for blocks that have never been hashed; a real
@@ -72,17 +71,12 @@ class DcpCheckpointer(IncrementalCheckpointer):
     """Per-process differential capture engine.
 
     Same observe/capture/mark_baseline contract as
-    :class:`IncrementalCheckpointer`; deltas come out as ``"dcp"``
-    checkpoints carrying :class:`BlockPayload` pieces.
+    :class:`IncrementalCheckpointer`; sub-page block sizes make the
+    deltas ``"dcp"`` checkpoints.
     """
 
     def __init__(self, memory: AddressSpace, block_size: int = 256):
-        super().__init__(memory)
-        if block_size < 1 or memory.page_size % block_size:
-            raise CheckpointError(
-                f"dcp block size {block_size} must be >= 1 and divide "
-                f"the page size {memory.page_size}")
-        self.block_size = block_size
+        super().__init__(memory, block_size)
         self.blocks_per_page = memory.enable_block_tracking(block_size)
         #: sid -> flat per-block baseline hash vector (one uint64 per
         #: block of the segment, NEVER_HASHED where no hash exists yet)
@@ -121,66 +115,36 @@ class DcpCheckpointer(IncrementalCheckpointer):
             self._baseline[seg.sid] = base
         return base
 
-    def _block_bytes_of(self, seg: Segment,
-                        flat_blocks: np.ndarray) -> np.ndarray | None:
-        if seg.contents is None or len(flat_blocks) == 0:
-            return None
-        flat = np.frombuffer(bytes(seg.contents), dtype=np.uint8)
-        return flat.reshape(-1, self.block_size)[flat_blocks].copy()
-
     # -- capture ---------------------------------------------------------------
 
-    def capture(self, seq: int, taken_at: float = 0.0) -> Checkpoint:
-        """Produce the block-granular delta and reset the accumulator."""
-        self.observe()
+    def _units(self, seg: Segment, pages: np.ndarray,
+               new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks of the masked ``pages`` whose hash moved since the
+        baseline, plus every block of a ``new`` page."""
         bpp = self.blocks_per_page
-        payloads = []
-        blocks_hashed = 0
-        blocks_written = 0
-        pages_masked = 0
-        nsegments = 0
-        for seg in self.memory.data_segments():
-            nsegments += 1
-            if seg.npages == 0:
-                continue
-            mask, new = self._capture_masks(seg)
-            pages = np.flatnonzero(mask)
-            baseline = self._baseline_for(seg)
-            if len(pages) == 0:
-                continue
-            pages_masked += len(pages)
-            current = self._hashes_of(seg, pages)
-            blocks_hashed += current.size
-            base_rows = baseline.reshape(-1, bpp)[pages]
-            changed = current != base_rows
-            # new/grown/regrown pages: baseline is stale or absent, so
-            # every block must go out -- exactly the pages incremental
-            # mode saves unconditionally
-            changed[new[pages]] = True
-            baseline.reshape(-1, bpp)[pages] = current
-            if not changed.any():
-                continue
-            flat = (pages[:, None] * bpp
-                    + np.arange(bpp, dtype=pages.dtype))[changed]
-            versions = current[changed].copy()
-            blocks_written += len(flat)
-            payloads.append(BlockPayload(
-                sid=seg.sid,
-                indices=flat.astype(np.int64),
-                versions=versions,
-                block_bytes=self._block_bytes_of(seg, flat)))
-        ckpt = Checkpoint(seq=seq, kind="dcp", taken_at=taken_at,
-                          page_size=self.memory.page_size,
-                          geometry=geometry_of(self.memory),
-                          payloads=tuple(payloads),
-                          block_size=self.block_size)
-        self.last_blocks_hashed = blocks_hashed
-        self.last_blocks_written = blocks_written
-        self.last_page_mode_nbytes = (
-            pages_masked * self.memory.page_size
-            + SEGMENT_HEADER_BYTES * nsegments)
-        self._reset_after_capture()
-        self._captures += 1
+        baseline = self._baseline_for(seg)
+        self.last_page_mode_nbytes += len(pages) * self.memory.page_size
+        current = self._hashes_of(seg, pages)
+        self.last_blocks_hashed += current.size
+        changed = current != baseline.reshape(-1, bpp)[pages]
+        # new/grown/regrown pages: baseline is stale or absent, so
+        # every block must go out -- exactly the pages incremental
+        # mode saves unconditionally
+        changed[new[pages]] = True
+        baseline.reshape(-1, bpp)[pages] = current
+        flat = (pages[:, None] * bpp
+                + np.arange(bpp, dtype=pages.dtype))[changed]
+        self.last_blocks_written += len(flat)
+        return flat.astype(np.int64), current[changed].copy()
+
+    def capture(self, seq: int, taken_at: float = 0.0) -> Checkpoint:
+        """Produce the block-granular delta, recording the per-capture
+        ``last_*`` stats, and reset the accumulator."""
+        self.last_blocks_hashed = 0
+        self.last_blocks_written = 0
+        self.last_page_mode_nbytes = 0
+        ckpt = super().capture(seq, taken_at)
+        self.last_page_mode_nbytes += SEGMENT_HEADER_BYTES * len(ckpt.geometry)
         return ckpt
 
     def mark_baseline(self) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.checkpoint.snapshot import Checkpoint, PagePayload, SegmentRecord
+from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.mem import AddressSpace
 
 
@@ -15,14 +15,13 @@ def geometry_of(memory: AddressSpace) -> tuple[SegmentRecord, ...]:
                  for seg in memory.data_segments())
 
 
-def page_bytes_of(seg, indices: np.ndarray):
-    """Gather real page contents for the saved indices (bytes backend),
-    or None under the signature-only backend."""
+def unit_bytes_of(seg, indices: np.ndarray, unit_size: int):
+    """Gather real contents of the saved ``unit_size``-byte units
+    (bytes backend), or None under the signature-only backend."""
     if seg.contents is None:
         return None
-    matrix = np.frombuffer(bytes(seg.contents), dtype=np.uint8).reshape(
-        seg.npages, seg.page_size)
-    return matrix[indices].copy()
+    flat = np.frombuffer(bytes(seg.contents), dtype=np.uint8)
+    return flat.reshape(-1, unit_size)[indices].copy()
 
 
 class FullCheckpointer:
@@ -37,9 +36,10 @@ class FullCheckpointer:
             if seg.npages == 0:
                 continue
             indices = np.arange(seg.npages, dtype=np.int64)
-            payloads.append(PagePayload(sid=seg.sid, indices=indices,
-                                        versions=seg.pages.versions.copy(),
-                                        page_bytes=page_bytes_of(seg, indices)))
+            payloads.append(Payload(
+                sid=seg.sid, indices=indices,
+                versions=seg.pages.versions.copy(),
+                unit_bytes=unit_bytes_of(seg, indices, seg.page_size)))
         return Checkpoint(seq=seq, kind="full", taken_at=taken_at,
                           page_size=memory.page_size,
                           geometry=geometry_of(memory),

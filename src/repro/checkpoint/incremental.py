@@ -21,6 +21,14 @@ users must do the same (``memory.reset_dirty(); memory.protect_data()``)
 after each capture, or writes following the capture will not fault and
 the next delta will miss them -- exactly the failure mode an OS-level
 implementation prevents by re-arming protection in the handler.
+
+The capture loop is block-granular: a delta saves ``block_size``-byte
+units, and the paper's page-granular scheme is the default
+``block_size == page_size``, where a unit is a whole page.  Sub-page
+blocks need per-block write tracking and a hash baseline to tell which
+blocks of a dirty page moved; :class:`~repro.checkpoint.dcp.DcpCheckpointer`
+adds that machinery through the :meth:`IncrementalCheckpointer._units`
+hook.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.checkpoint.full import geometry_of, page_bytes_of
-from repro.checkpoint.snapshot import Checkpoint, PagePayload
+from repro.checkpoint.full import geometry_of, unit_bytes_of
+from repro.checkpoint.snapshot import Checkpoint, Payload
 from repro.errors import CheckpointError
 from repro.mem import AddressSpace
 
@@ -38,8 +46,17 @@ from repro.mem import AddressSpace
 class IncrementalCheckpointer:
     """Per-process incremental capture engine."""
 
-    def __init__(self, memory: AddressSpace):
+    def __init__(self, memory: AddressSpace,
+                 block_size: Optional[int] = None):
+        if block_size is None:
+            block_size = memory.page_size
+        if block_size < 1 or memory.page_size % block_size:
+            raise CheckpointError(
+                f"block size {block_size} must be >= 1 and divide "
+                f"the page size {memory.page_size}")
         self.memory = memory
+        #: unit granularity of the deltas (bytes)
+        self.block_size = block_size
         #: sid -> accumulated dirty mask (grown lazily)
         self._dirty: dict[int, np.ndarray] = {}
         #: sid -> segment size (pages) at the last capture
@@ -80,8 +97,7 @@ class IncrementalCheckpointer:
         ``new`` marks pages saved *unconditionally* (whole new segments,
         grown/regrown pages -- writes there may predate protection);
         ``mask`` is the full capture set, ``new`` plus the accumulated
-        dirty pages.  Shared with the dcp checkpointer, which must force
-        every block of a ``new`` page into its delta.
+        dirty pages.
         """
         new = np.zeros(seg.npages, dtype=bool)
         known = self._last_npages.get(seg.sid)
@@ -100,6 +116,19 @@ class IncrementalCheckpointer:
             mask[:n] |= acc[:n]
         return mask, new
 
+    def _units(self, seg, pages: np.ndarray,
+               new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The units to save out of the masked ``pages``, and their
+        versions.  Without block tracking every block of a masked page
+        goes out at the page's write version; at one block per page a
+        unit is simply a page."""
+        versions = seg.pages.versions[pages]
+        per_page = self.memory.page_size // self.block_size
+        if per_page == 1:
+            return pages, versions
+        return ((pages[:, None] * per_page + np.arange(per_page)).ravel(),
+                np.repeat(versions, per_page))
+
     def capture(self, seq: int, taken_at: float = 0.0) -> Checkpoint:
         """Produce the delta checkpoint and reset the accumulator.
 
@@ -111,17 +140,20 @@ class IncrementalCheckpointer:
         for seg in self.memory.data_segments():
             if seg.npages == 0:
                 continue
-            mask, _ = self._capture_masks(seg)
-            indices = np.flatnonzero(mask)
+            mask, new = self._capture_masks(seg)
+            indices, versions = self._units(seg, np.flatnonzero(mask), new)
             if len(indices):
-                payloads.append(PagePayload(
-                    sid=seg.sid, indices=indices,
-                    versions=seg.pages.versions[indices].copy(),
-                    page_bytes=page_bytes_of(seg, indices)))
-        ckpt = Checkpoint(seq=seq, kind="incremental", taken_at=taken_at,
-                          page_size=self.memory.page_size,
-                          geometry=geometry_of(self.memory),
-                          payloads=tuple(payloads))
+                payloads.append(Payload(
+                    sid=seg.sid, indices=indices, versions=versions,
+                    unit_bytes=unit_bytes_of(seg, indices,
+                                             self.block_size)))
+        page_size = self.memory.page_size
+        ckpt = Checkpoint(
+            seq=seq,
+            kind="dcp" if self.block_size < page_size else "incremental",
+            taken_at=taken_at, page_size=page_size,
+            geometry=geometry_of(self.memory), payloads=tuple(payloads),
+            block_size=self.block_size)
         self._reset_after_capture()
         self._captures += 1
         return ckpt

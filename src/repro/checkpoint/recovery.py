@@ -2,8 +2,8 @@
 
 Replay walks the chain oldest-to-newest, evolving a per-segment version
 map: geometry records grow/shrink/drop segments (new pages arrive
-zeroed, exactly like the kernel's zero-fill), payloads stamp saved page
-versions.  The final state is materialized into a fresh
+zeroed, exactly like the kernel's zero-fill), payloads stamp saved unit
+versions and bytes.  The final state is materialized into a fresh
 :class:`~repro.mem.AddressSpace` whose content signature must equal the
 original's at capture time -- the correctness property the test suite
 checks exhaustively.
@@ -35,8 +35,7 @@ def replay_chain(chain: Sequence[Checkpoint]) \
     if chain[0].kind != "full":
         raise RecoveryError("chain must start with a full checkpoint")
     page_size = chain[0].page_size
-    has_bytes = any(getattr(p, "page_bytes", None) is not None
-                    or getattr(p, "block_bytes", None) is not None
+    has_bytes = any(p.unit_bytes is not None
                     for c in chain for p in c.payloads)
     state: dict[int, tuple[SegmentRecord, np.ndarray, Optional[np.ndarray]]] = {}
     for ckpt in chain:
@@ -53,38 +52,35 @@ def replay_chain(chain: Sequence[Checkpoint]) \
                     content[:n] = old[2][:n]
             new_state[rec.sid] = (rec, versions, content)
         state = new_state  # segments missing from the geometry are dropped
+        per_page = ckpt.page_size // ckpt.block_size
         for payload in ckpt.payloads:
             entry = state.get(payload.sid)
             if entry is None:
                 raise RecoveryError(
                     f"payload for unknown segment sid {payload.sid}")
             rec, versions, content = entry
-            if ckpt.kind == "dcp":
-                # block-granular piece: stamp pages with the max block
-                # hash (== the page's write version under the signature
-                # backend), scatter block bytes into the page grid
-                bpp = ckpt.page_size // ckpt.block_size
-                in_range = payload.indices < rec.npages * bpp
-                idx = payload.indices[in_range]
-                # a page with every block emitted (forced full-page emit
-                # for new/regrown pages, or all blocks changed) takes
+            in_range = payload.indices < rec.npages * per_page
+            idx = payload.indices[in_range]
+            if per_page == 1:
+                # one block per page: a saved page takes its version
+                versions[idx] = payload.versions[in_range]
+            else:
+                # stamp pages with the max block hash (== the page's
+                # write version under the signature backend).  A page
+                # with every block emitted (forced full-page emit for
+                # new/regrown pages, or all blocks changed) takes
                 # exactly max(emitted versions) -- the carried version
                 # may be a stale higher value from before a shrink; a
                 # partially-emitted page keeps its unchanged blocks, so
                 # its version is max(carried, emitted)
-                touched, counts = np.unique(idx // bpp, return_counts=True)
-                versions[touched[counts == bpp]] = 0
-                np.maximum.at(versions, idx // bpp,
+                touched, counts = np.unique(idx // per_page,
+                                            return_counts=True)
+                versions[touched[counts == per_page]] = 0
+                np.maximum.at(versions, idx // per_page,
                               payload.versions[in_range])
-                if content is not None and payload.block_bytes is not None:
-                    content.reshape(-1, ckpt.block_size)[idx] = \
-                        payload.block_bytes[in_range]
-                continue
-            in_range = payload.indices < rec.npages
-            versions[payload.indices[in_range]] = payload.versions[in_range]
-            if content is not None and payload.page_bytes is not None:
-                content[payload.indices[in_range]] = \
-                    payload.page_bytes[in_range]
+            if content is not None and payload.unit_bytes is not None:
+                content.reshape(-1, ckpt.block_size)[idx] = \
+                    payload.unit_bytes[in_range]
     return state
 
 

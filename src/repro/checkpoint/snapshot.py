@@ -5,17 +5,23 @@ A checkpoint carries
 - the *geometry* of every data segment at capture time (kind, base,
   size, and the segment's process-unique ``sid`` so chain replay can
   follow a segment through growth and shrink), and
-- *page payloads*: per segment, the indices of saved pages and their
-  content (64-bit write-version signatures standing in for the page
-  bytes -- see DESIGN.md on content signatures).
+- *payloads*: per segment, the indices of saved units and their content
+  (64-bit write-version signatures standing in for the bytes -- see
+  DESIGN.md on content signatures).
 
-``nbytes`` models the stable-storage cost: one page of data per saved
-page plus a small per-segment header.
+A unit is a fixed-size block of ``block_size`` bytes; block ``i`` of a
+segment covers bytes ``[i * block_size, (i + 1) * block_size)``.  The
+paper's page-granular incremental checkpoint is the
+``block_size == page_size`` case, where a unit is a page; sub-page
+blocks make the delta differential (kind ``"dcp"``).
+
+``nbytes`` models the stable-storage cost: one unit of data per saved
+unit plus a small per-segment header.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,59 +46,26 @@ class SegmentRecord:
 
 
 @dataclass(frozen=True)
-class PagePayload:
-    """Saved pages of one segment: parallel index/version arrays, plus
-    (under the bytes backend) the real page contents."""
+class Payload:
+    """Saved units of one segment: parallel index/version arrays, plus
+    (under the bytes backend) the real unit contents."""
 
     sid: int
-    indices: np.ndarray    #: page indices within the segment (ascending)
-    versions: np.ndarray   #: content signature per saved page
-    #: real content, shape (npages, page_size) uint8; None under the
+    indices: np.ndarray    #: unit indices within the segment (ascending)
+    #: content signature per saved unit: the write version on the
+    #: signature backend, a truncated blake2b digest for sub-page blocks
+    #: on the bytes backend
+    versions: np.ndarray
+    #: real content, shape (nunits, block_size) uint8; None under the
     #: default signature-only backend
-    page_bytes: np.ndarray | None = None
+    unit_bytes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.versions):
             raise CheckpointError("payload index/version length mismatch")
-        if self.page_bytes is not None and len(self.page_bytes) != len(self.indices):
+        if (self.unit_bytes is not None
+                and len(self.unit_bytes) != len(self.indices)):
             raise CheckpointError("payload byte-content length mismatch")
-
-    @property
-    def npages(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class BlockPayload:
-    """Saved sub-page blocks of one segment (dcp mode): parallel
-    block-index/hash arrays, plus (under the bytes backend) the real
-    block contents.
-
-    ``indices`` are flat block indices within the segment (ascending):
-    block ``i`` covers bytes ``[i * block_size, (i + 1) * block_size)``.
-    ``versions`` carries one 64-bit word per saved block -- the block's
-    write version under the signature backend (where it doubles as the
-    content hash), a truncated blake2b content digest under the bytes
-    backend.
-    """
-
-    sid: int
-    indices: np.ndarray    #: flat block indices within the segment (ascending)
-    versions: np.ndarray   #: content hash / write version per saved block
-    #: real content, shape (nblocks, block_size) uint8; None under the
-    #: default signature-only backend
-    block_bytes: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.versions):
-            raise CheckpointError("payload index/version length mismatch")
-        if (self.block_bytes is not None
-                and len(self.block_bytes) != len(self.indices)):
-            raise CheckpointError("payload byte-content length mismatch")
-
-    @property
-    def nblocks(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -104,53 +77,46 @@ class Checkpoint:
     taken_at: float
     page_size: int
     geometry: tuple[SegmentRecord, ...]
-    payloads: tuple[PagePayload, ...]
-    #: sub-page block granularity (bytes); set iff ``kind == "dcp"``,
-    #: whose payloads are :class:`BlockPayload` pieces
+    payloads: tuple[Payload, ...]
+    #: unit granularity (bytes); None means ``page_size``.  Kind
+    #: ``"dcp"`` holds exactly when ``block_size < page_size``.
     block_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "incremental", "dcp"):
             raise CheckpointError(f"unknown checkpoint kind {self.kind!r}")
-        if self.kind == "dcp":
-            if self.block_size is None:
-                raise CheckpointError("dcp checkpoint needs a block size")
-            if self.block_size < 1 or self.page_size % self.block_size:
-                raise CheckpointError(
-                    f"block size {self.block_size} must be >= 1 and divide "
-                    f"the page size {self.page_size}")
+        if self.block_size is None:
+            object.__setattr__(self, "block_size", self.page_size)
+        if self.block_size < 1 or self.page_size % self.block_size:
+            raise CheckpointError(
+                f"block size {self.block_size} must be >= 1 and divide "
+                f"the page size {self.page_size}")
+        if (self.kind == "dcp") != (self.block_size < self.page_size):
+            raise CheckpointError(
+                f"{self.kind} checkpoint with {self.block_size}-byte "
+                f"units at page size {self.page_size}: kind 'dcp' holds "
+                f"exactly for sub-page units")
         sids = {rec.sid for rec in self.geometry}
         for p in self.payloads:
             if p.sid not in sids:
                 raise CheckpointError(
                     f"payload for sid {p.sid} has no geometry record")
-            if self.kind == "dcp" and not isinstance(p, BlockPayload):
-                raise CheckpointError(
-                    "dcp checkpoints carry block payloads only")
-            if self.kind != "dcp" and isinstance(p, BlockPayload):
-                raise CheckpointError(
-                    f"{self.kind} checkpoints carry page payloads only")
 
     @property
     def pages_saved(self) -> int:
-        return sum(p.npages for p in self.payloads
-                   if isinstance(p, PagePayload))
-
-    @property
-    def blocks_saved(self) -> int:
-        return sum(p.nblocks for p in self.payloads
-                   if isinstance(p, BlockPayload))
+        """Distinct pages the payloads cover."""
+        per_page = self.page_size // self.block_size
+        if per_page == 1:
+            return sum(len(p.indices) for p in self.payloads)
+        return sum(len(np.unique(p.indices // per_page))
+                   for p in self.payloads)
 
     @property
     def nbytes(self) -> int:
-        """Modelled size on stable storage.  dcp pieces pay per saved
-        *block*; the per-segment header amortizes the block bitmap, so a
-        dcp delta at ``block_size == page_size`` costs exactly what the
-        page-granular incremental delta would."""
-        if self.kind == "dcp":
-            return (self.blocks_saved * self.block_size
-                    + SEGMENT_HEADER_BYTES * len(self.geometry))
-        return (self.pages_saved * self.page_size
+        """Modelled size on stable storage: one ``block_size`` unit per
+        saved unit, plus a per-segment header (which amortizes the block
+        bitmap of a sub-page delta)."""
+        return (sum(len(p.indices) for p in self.payloads) * self.block_size
                 + SEGMENT_HEADER_BYTES * len(self.geometry))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

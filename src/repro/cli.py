@@ -87,6 +87,15 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _add_block_size_flag(cmd: argparse.ArgumentParser) -> None:
+    """The checkpoint delta granularity of run/faults-run."""
+    cmd.add_argument("--ckpt-block-size", type=_positive_int, default=None,
+                     metavar="BYTES",
+                     help="delta unit size; must divide the page size "
+                          "(default: the page size, whole dirty pages; "
+                          "smaller saves sub-page differential blocks)")
+
+
 def _add_obs_flags(cmd: argparse.ArgumentParser) -> None:
     """The shared observability surface of run/sweep/faults-run."""
     grp = cmd.add_argument_group("observability")
@@ -181,15 +190,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--ckpt-full-every", type=_positive_int, default=4,
                      help="full checkpoint every N captures (with "
                           "--ckpt-transport)")
-    run.add_argument("--ckpt-mode", choices=("incremental", "dcp"),
-                     default="incremental",
-                     help="delta granularity: whole dirty pages "
-                          "('incremental') or sub-page differential "
-                          "blocks ('dcp')")
-    run.add_argument("--dcp-block-size", type=_positive_int, default=256,
-                     metavar="BYTES",
-                     help="dcp block granularity; must divide the page "
-                          "size (default 256)")
+    _add_block_size_flag(run)
     run.add_argument("--store-out", metavar="FILE", default=None,
                      help="archive the final checkpoint store to FILE "
                           "(verifiable with 'ckpt verify'; needs "
@@ -288,15 +289,7 @@ def _parser() -> argparse.ArgumentParser:
                       default="estimate",
                       help="checkpoint data path (default: estimate, "
                            "the flat-duration sink writes)")
-    frun.add_argument("--ckpt-mode", choices=("incremental", "dcp"),
-                      default="incremental",
-                      help="delta granularity: whole dirty pages "
-                           "('incremental') or sub-page differential "
-                           "blocks ('dcp')")
-    frun.add_argument("--dcp-block-size", type=_positive_int, default=256,
-                      metavar="BYTES",
-                      help="dcp block granularity; must divide the page "
-                           "size (default 256)")
+    _add_block_size_flag(frun)
     _add_obs_flags(frun)
 
     ckpt = sub.add_parser("ckpt", help="checkpoint store utilities")
@@ -388,8 +381,7 @@ def cmd_run(args, out) -> int:
                               ckpt_transport=args.ckpt_transport,
                               ckpt_interval_slices=args.ckpt_interval,
                               ckpt_full_every=args.ckpt_full_every,
-                              ckpt_mode=args.ckpt_mode,
-                              dcp_block_size=args.dcp_block_size)
+                              ckpt_block_size=args.ckpt_block_size)
     except ConfigurationError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -543,8 +535,7 @@ def cmd_faults_run(args, out) -> int:
         config = paper_config(args.app, nranks=args.ranks,
                               timeslice=args.timeslice,
                               run_duration=args.duration,
-                              ckpt_mode=args.ckpt_mode,
-                              dcp_block_size=args.dcp_block_size)
+                              ckpt_block_size=args.ckpt_block_size)
     except ConfigurationError as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2

@@ -48,11 +48,10 @@ class ExperimentConfig:
     ckpt_transport: Optional[str] = None
     ckpt_interval_slices: int = 2
     ckpt_full_every: int = 4
-    #: delta capture granularity: "incremental" (whole dirty pages) or
-    #: "dcp" (sub-page differential blocks)
-    ckpt_mode: str = "incremental"
-    #: block granularity (bytes) for ``ckpt_mode="dcp"``
-    dcp_block_size: int = 256
+    #: delta unit granularity (bytes): None (or the page size) saves
+    #: whole dirty pages, a smaller divisor of the page size saves
+    #: sub-page differential blocks
+    ckpt_block_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nranks < 1:
@@ -70,14 +69,11 @@ class ExperimentConfig:
             raise ConfigurationError("ckpt_interval_slices must be >= 1")
         if self.ckpt_full_every < 1:
             raise ConfigurationError("ckpt_full_every must be >= 1")
-        if self.ckpt_mode not in ("incremental", "dcp"):
+        block = self.ckpt_block_size
+        if block is not None and (block < 1 or self.page_size % block):
             raise ConfigurationError(
-                f"unknown checkpoint mode {self.ckpt_mode!r}; expected "
-                f"'incremental' or 'dcp'")
-        if self.dcp_block_size < 1 or self.page_size % self.dcp_block_size:
-            raise ConfigurationError(
-                f"dcp_block_size {self.dcp_block_size} must be >= 1 and "
-                f"divide the page size {self.page_size}")
+                f"ckpt_block_size {block} must be >= 1 and divide the "
+                f"page size {self.page_size}")
 
     def scaled(self, **changes) -> "ExperimentConfig":
         """A copy with some fields replaced (parameter sweeps)."""
@@ -228,8 +224,7 @@ def run_experiment(config: ExperimentConfig,
                                 keep_payloads=False,
                                 gc=(config.ckpt_transport == "diskless"),
                                 transport=config.ckpt_transport,
-                                mode=config.ckpt_mode,
-                                dcp_block_size=config.dcp_block_size)
+                                block_size=config.ckpt_block_size)
     procs = job.launch(app.make_body())
     engine.run(detect_deadlock=True)
     for p in procs:

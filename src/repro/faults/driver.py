@@ -228,8 +228,7 @@ class FailureRecoveryDriver:
                                 interval_slices=self.interval_slices,
                                 full_every=self.full_every,
                                 transport=self.ckpt_transport,
-                                mode=config.ckpt_mode,
-                                dcp_block_size=config.dcp_block_size)
+                                block_size=config.ckpt_block_size)
 
         life = LifeResult(index=index, t_start=t_start, t_end=t_start,
                           logs={}, store=ckpt.store, committed=[],

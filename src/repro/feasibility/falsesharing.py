@@ -6,10 +6,9 @@ the *pages-written* cost and the *actually-changed* bytes is false
 sharing at the page boundary, and it is the quantity the dcp mode
 (sub-page differential blocks, :mod:`repro.checkpoint.dcp`) exists to
 recover.  This module measures it directly: the same workload is run
-once in page-granular incremental mode per page size, and once per
-(page size, block size) pair in dcp mode; the checkpoint store's delta
-bytes give both sides of the comparison from real captures, not a
-model.
+once per (page size, block size) pair, the page size itself first (the
+page-granular incremental baseline); the checkpoint store's delta bytes
+give both sides of the comparison from real captures, not a model.
 """
 
 from __future__ import annotations
@@ -66,31 +65,23 @@ def false_sharing_ablation(
         config: ExperimentConfig,
         page_sizes: Sequence[int],
         block_sizes: Sequence[int]) -> list[FalseSharingCell]:
-    """Sweep the grid: one incremental baseline per page size, one dcp
-    run per (page size, block size) with ``block_size < page_size``.
-
-    The baseline appears in the result as the ``block_size ==
-    page_size`` cell (dcp at that granularity is byte-identical to
-    incremental mode, a property the differential tests pin).
+    """Sweep the grid: one run per (page size, block size), where the
+    block sizes are the page size itself -- the page-granular
+    incremental baseline, the ``block_size == page_size`` cell -- and
+    every given ``block_size < page_size`` that divides it.
     """
     if config.ckpt_transport is None:
         config = config.scaled(ckpt_transport="estimate")
     cells = []
     for page_size in page_sizes:
-        base = run_experiment(config.scaled(page_size=page_size,
-                                            ckpt_mode="incremental"))
-        page_mode, captures = delta_bytes(base)
-        cells.append(FalseSharingCell(
-            page_size=page_size, block_size=page_size,
-            page_mode_bytes=page_mode, dcp_bytes=page_mode,
-            captures=captures))
-        for block_size in block_sizes:
-            if block_size >= page_size or page_size % block_size:
-                continue
-            dcp = run_experiment(config.scaled(page_size=page_size,
-                                               ckpt_mode="dcp",
-                                               dcp_block_size=block_size))
-            nbytes, n = delta_bytes(dcp)
+        page_mode = None
+        for block_size in [page_size] + [b for b in block_sizes
+                                         if b < page_size
+                                         and page_size % b == 0]:
+            nbytes, n = delta_bytes(run_experiment(config.scaled(
+                page_size=page_size, ckpt_block_size=block_size)))
+            if page_mode is None:
+                page_mode = nbytes
             cells.append(FalseSharingCell(
                 page_size=page_size, block_size=block_size,
                 page_mode_bytes=page_mode, dcp_bytes=nbytes, captures=n))

@@ -44,7 +44,7 @@ class BlockTable:
         self.page_size = page_size
         self.block_size = block_size
         self.blocks_per_page = page_size // block_size
-        self._allocate(npages, preserve=0)
+        self._allocate(npages, preserve=npages)
 
     @property
     def nblocks(self) -> int:

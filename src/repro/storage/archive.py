@@ -25,6 +25,7 @@ Format (all integers little-endian uint32 length prefixes)::
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,21 +50,16 @@ def _encode_payload(payload) -> bytes:
     """Checkpoint object -> canonical bytes (JSON meta + raw arrays)."""
     if payload is None:
         return b""
-    dcp = payload.kind == "dcp"
-
-    def _bytes_of(p):
-        return p.block_bytes if dcp else p.page_bytes
-
     meta = {
         "seq": payload.seq, "kind": payload.kind,
         "taken_at": payload.taken_at, "page_size": payload.page_size,
         "geometry": [[r.sid, r.kind, r.base, r.npages]
                      for r in payload.geometry],
-        "payloads": [[p.sid, int(len(p.indices)), _bytes_of(p) is not None]
+        "payloads": [[p.sid, int(len(p.indices)), p.unit_bytes is not None]
                      for p in payload.payloads],
     }
-    if dcp:
-        # only dcp pieces carry the key, so page-mode archives stay
+    if payload.block_size != payload.page_size:
+        # only sub-page pieces carry the key, so page-mode archives stay
         # byte-identical to the pre-dcp format
         meta["block_size"] = payload.block_size
     parts = [_frame(json.dumps(meta, sort_keys=True).encode())]
@@ -72,16 +68,15 @@ def _encode_payload(payload) -> bytes:
                                           dtype=np.int64).tobytes())
         parts.append(np.ascontiguousarray(p.versions,
                                           dtype=np.uint64).tobytes())
-        if _bytes_of(p) is not None:
-            parts.append(np.ascontiguousarray(_bytes_of(p),
+        if p.unit_bytes is not None:
+            parts.append(np.ascontiguousarray(p.unit_bytes,
                                               dtype=np.uint8).tobytes())
     return b"".join(parts)
 
 
 def _decode_payload(blob: bytes):
     """Bytes -> Checkpoint; raises StorageError on any malformation."""
-    from repro.checkpoint.snapshot import (Checkpoint, BlockPayload,
-                                           PagePayload, SegmentRecord)
+    from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
     if not blob:
         return None
     meta_raw, offset = _read_frame(blob, 0, what="payload meta")
@@ -90,8 +85,7 @@ def _decode_payload(blob: bytes):
         geometry = tuple(SegmentRecord(sid=s, kind=k, base=b, npages=n)
                          for s, k, b, n in meta["geometry"])
         page_size = int(meta["page_size"])
-        dcp = meta["kind"] == "dcp"
-        block_size = int(meta["block_size"]) if dcp else None
+        block_size = int(meta.get("block_size", page_size))
         payloads = []
         for sid, nunits, has_bytes in meta["payloads"]:
             nunits = int(nunits)
@@ -99,18 +93,12 @@ def _decode_payload(blob: bytes):
             versions, offset = _take_array(blob, offset, nunits, np.uint64)
             unit_bytes = None
             if has_bytes:
-                width = block_size if dcp else page_size
                 flat, offset = _take_array(blob, offset,
-                                           nunits * width, np.uint8)
-                unit_bytes = flat.reshape(nunits, width)
-            if dcp:
-                payloads.append(BlockPayload(sid=int(sid), indices=indices,
-                                             versions=versions,
-                                             block_bytes=unit_bytes))
-            else:
-                payloads.append(PagePayload(sid=int(sid), indices=indices,
-                                            versions=versions,
-                                            page_bytes=unit_bytes))
+                                           nunits * block_size, np.uint8)
+                unit_bytes = flat.reshape(nunits, block_size)
+            payloads.append(Payload(sid=int(sid), indices=indices,
+                                    versions=versions,
+                                    unit_bytes=unit_bytes))
         return Checkpoint(seq=int(meta["seq"]), kind=meta["kind"],
                           taken_at=float(meta["taken_at"]),
                           page_size=page_size, geometry=geometry,
@@ -152,7 +140,12 @@ def _read_frame(data: bytes, offset: int, *, what: str) -> tuple[bytes, int]:
 
 def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
     """Write the store -- chains, commits, payloads, digests -- to one
-    framed binary file.  Returns the path written."""
+    framed binary file.  Returns the path written.
+
+    The archive is written to a temporary sibling and renamed over
+    ``path``, so a write that fails midway leaves any previous archive
+    at ``path`` untouched instead of torn.
+    """
     path = Path(path)
     pieces = [obj for rank in range(store.nranks)
               for obj in store.pieces(rank)]
@@ -168,7 +161,13 @@ def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
                 "base_digest": obj.base_digest, "payload_len": len(blob)}
         parts.append(_frame(json.dumps(meta, sort_keys=True).encode()))
         parts.append(blob)
-    path.write_bytes(b"".join(parts))
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -45,45 +45,33 @@ class DisklessSink:
     def write(self, nbytes: int) -> Future:
         """Stream ``nbytes`` to the buddy; future resolves at durability
         (in the buddy's memory)."""
-        if nbytes < 0:
-            raise StorageError(f"negative write size {nbytes}")
-        if self.bytes_held + nbytes > self.capacity:
-            raise StorageError(
-                f"{self.name}: buddy memory exhausted "
-                f"({self.bytes_held + nbytes} > {self.capacity}); release "
-                "retired checkpoints first")
-        now = self.engine.now
-        start = max(now, self._free_at)
-        duration = (self.link.latency + nbytes / self.link.bandwidth
-                    + nbytes / self.memcpy_bandwidth)
-        done_at = start + duration
-        self._free_at = done_at
-        self.bytes_written += nbytes
-        self.bytes_held += nbytes
-        self.ops += 1
-        fut = Future(self.engine, label=f"{self.name}.write#{self.ops}")
-        self.engine.schedule_at(done_at, fut.resolve, done_at)
-        return fut
+        return self._deposit(nbytes, "write", self.link.latency
+                             + nbytes / self.link.bandwidth
+                             + nbytes / self.memcpy_bandwidth)
 
     def ingest(self, nbytes: int) -> Future:
         """Deposit ``nbytes`` that already crossed the fabric (the
         checkpoint transport simulated the wire itself): charge only the
         memcpy into the buddy's memory plus capacity."""
+        return self._deposit(nbytes, "ingest",
+                             nbytes / self.memcpy_bandwidth)
+
+    def _deposit(self, nbytes: int, op: str, duration: float) -> Future:
+        """Take ``nbytes`` into the buddy's memory once the NIC is free
+        and ``duration`` has passed."""
         if nbytes < 0:
-            raise StorageError(f"negative ingest size {nbytes}")
+            raise StorageError(f"negative {op} size {nbytes}")
         if self.bytes_held + nbytes > self.capacity:
             raise StorageError(
                 f"{self.name}: buddy memory exhausted "
                 f"({self.bytes_held + nbytes} > {self.capacity}); release "
                 "retired checkpoints first")
-        now = self.engine.now
-        start = max(now, self._free_at)
-        done_at = start + nbytes / self.memcpy_bandwidth
+        done_at = max(self.engine.now, self._free_at) + duration
         self._free_at = done_at
         self.bytes_written += nbytes
         self.bytes_held += nbytes
         self.ops += 1
-        fut = Future(self.engine, label=f"{self.name}.ingest#{self.ops}")
+        fut = Future(self.engine, label=f"{self.name}.{op}#{self.ops}")
         self.engine.schedule_at(done_at, fut.resolve, done_at)
         return fut
 

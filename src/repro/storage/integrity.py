@@ -48,7 +48,7 @@ def piece_digest(rank: int, seq: int, kind: str, nbytes: int,
     Covers the identity metadata (so a piece cannot be replayed under a
     different rank/sequence), the declared size (so a short write with a
     stale header cannot pass), and -- when the payload object is kept --
-    the full geometry and page arrays.
+    the full geometry and unit arrays.
     """
     h = blake2b(digest_size=DIGEST_SIZE)
     h.update(f"{rank}|{seq}|{kind}|{nbytes}".encode())
@@ -56,29 +56,20 @@ def piece_digest(rank: int, seq: int, kind: str, nbytes: int,
         h.update(f"|{payload.page_size}|{payload.taken_at!r}".encode())
         for rec in payload.geometry:
             h.update(f"g{rec.sid}|{rec.kind}|{rec.base}|{rec.npages}".encode())
+        # sub-page pieces take a distinct tag (and the block size), so
+        # they never collide with a page piece whose arrays happen to
+        # match; page pieces keep the pre-dcp tag
+        sub_page = payload.block_size != payload.page_size
         for p in payload.payloads:
-            if hasattr(p, "block_bytes"):
-                # dcp block piece: a distinct tag (and the block size)
-                # keeps it from ever colliding with a page piece whose
-                # arrays happen to match
-                h.update(f"B{p.sid}|{len(p.indices)}"
-                         f"|{payload.block_size}".encode())
-                h.update(np.ascontiguousarray(p.indices,
-                                              dtype=np.int64).tobytes())
-                h.update(np.ascontiguousarray(p.versions,
-                                              dtype=np.uint64).tobytes())
-                if p.block_bytes is not None:
-                    h.update(b"b")
-                    h.update(np.ascontiguousarray(p.block_bytes,
-                                                  dtype=np.uint8).tobytes())
-                continue
-            h.update(f"p{p.sid}|{len(p.indices)}".encode())
+            h.update((f"B{p.sid}|{len(p.indices)}|{payload.block_size}"
+                      if sub_page else
+                      f"p{p.sid}|{len(p.indices)}").encode())
             h.update(np.ascontiguousarray(p.indices, dtype=np.int64).tobytes())
             h.update(np.ascontiguousarray(p.versions,
                                           dtype=np.uint64).tobytes())
-            if p.page_bytes is not None:
+            if p.unit_bytes is not None:
                 h.update(b"b")
-                h.update(np.ascontiguousarray(p.page_bytes,
+                h.update(np.ascontiguousarray(p.unit_bytes,
                                               dtype=np.uint8).tobytes())
     return h.hexdigest()
 

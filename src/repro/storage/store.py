@@ -215,15 +215,14 @@ class CheckpointStore:
             return []
         views = []
         for p in obj.payload.payloads:
-            for arr in (getattr(p, "page_bytes", None),
-                        getattr(p, "block_bytes", None), p.versions):
+            for arr in (p.unit_bytes, p.versions):
                 if arr is not None and arr.size and arr.flags.c_contiguous:
                     views.append(arr.view(np.uint8).reshape(-1))
         return views
 
     def truncate_piece(self, rank: int, seq: int, *,
                        keep_bytes: Optional[int] = None) -> StoredObject:
-        """Model a torn/short write: the piece's trailing saved pages are
+        """Model a torn/short write: the piece's trailing saved units are
         gone and its on-media size shrinks, but the recorded digest (the
         write-time header) still describes the full piece.  The store
         ledger reflects the *actual* bytes held.  Returns the truncated
@@ -251,34 +250,15 @@ class CheckpointStore:
 
     @staticmethod
     def _truncate_payload(payload, keep_bytes: int):
-        """Drop trailing saved pages (or blocks, for dcp pieces) until
-        the modelled size fits."""
-        from repro.checkpoint.snapshot import (Checkpoint, BlockPayload,
-                                               PagePayload)
-
+        """Drop trailing saved units until the modelled size fits."""
         def rebuild(kept):
-            return Checkpoint(seq=payload.seq, kind=payload.kind,
-                              taken_at=payload.taken_at,
-                              page_size=payload.page_size,
-                              geometry=payload.geometry,
-                              payloads=tuple(kept),
-                              block_size=payload.block_size)
-
-        def units(p) -> int:
-            return len(p.indices)
+            return dataclasses.replace(payload, payloads=tuple(kept))
 
         def head(p, n):
-            if isinstance(p, BlockPayload):
-                return BlockPayload(
-                    sid=p.sid, indices=p.indices[:n],
-                    versions=p.versions[:n],
-                    block_bytes=(None if p.block_bytes is None
-                                 else p.block_bytes[:n]))
-            return PagePayload(
-                sid=p.sid, indices=p.indices[:n],
-                versions=p.versions[:n],
-                page_bytes=(None if p.page_bytes is None
-                            else p.page_bytes[:n]))
+            return dataclasses.replace(
+                p, indices=p.indices[:n], versions=p.versions[:n],
+                unit_bytes=(None if p.unit_bytes is None
+                            else p.unit_bytes[:n]))
 
         kept = list(payload.payloads)
         while kept:
@@ -286,7 +266,7 @@ class CheckpointStore:
             if size <= keep_bytes:
                 break
             last = kept[-1]
-            n_units = units(last)
+            n_units = len(last.indices)
             if n_units <= 1:
                 kept.pop()
                 continue

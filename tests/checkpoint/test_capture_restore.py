@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import (
     Checkpoint,
+    DcpCheckpointer,
     FullCheckpointer,
     IncrementalCheckpointer,
-    PagePayload,
+    Payload,
     SegmentRecord,
     restore_address_space,
 )
@@ -55,12 +56,12 @@ def test_checkpoint_validation():
         Checkpoint(seq=0, kind="differential", taken_at=0.0, page_size=PS,
                    geometry=(), payloads=())
     with pytest.raises(CheckpointError):
-        PagePayload(sid=1, indices=np.array([1]), versions=np.array([1, 2]))
+        Payload(sid=1, indices=np.array([1]), versions=np.array([1, 2]))
     with pytest.raises(CheckpointError):
         Checkpoint(seq=0, kind="full", taken_at=0.0, page_size=PS,
                    geometry=(),
-                   payloads=(PagePayload(sid=9, indices=np.array([0]),
-                                         versions=np.array([1])),))
+                   payloads=(Payload(sid=9, indices=np.array([0]),
+                                     versions=np.array([1])),))
     with pytest.raises(CheckpointError):
         SegmentRecord(sid=1, kind="data", base=0, npages=-1)
 
@@ -126,6 +127,17 @@ def test_incremental_identity_with_iws():
     assert asp.dirty_pages() == 5
     delta = inc.capture(seq=1)
     assert delta.pages_saved == asp.dirty_pages() == 5
+    # sub-page units: six blocks saved, on the five distinct pages
+    sub = make_space(data_pages=16)
+    sub.protect_data()
+    dcp = DcpCheckpointer(sub, block_size=PS // 4)
+    dcp.mark_baseline()
+    for page in range(5):
+        sub.cpu_write(sub.data.base + page * PS, 8)
+    sub.cpu_write(sub.data.base + PS // 2, 8)
+    delta = dcp.capture(seq=1)
+    assert delta.kind == "dcp" and len(delta.payloads[0].indices) == 6
+    assert delta.pages_saved == sub.dirty_pages() == 5
 
 
 def test_incremental_accumulates_across_slices():

@@ -2,10 +2,9 @@
 
 Three claims pin the dcp tentpole down on a real 8-rank Sage run:
 
-1. **Block == page is incremental.**  dcp at ``block_size ==
-   page_size`` stores byte-identical piece sizes to incremental mode
-   on every checkpoint of every rank -- the only difference is the
-   piece kind tag.
+1. **Block == page is incremental.**  ``block_size == page_size``
+   stores the same pieces as the default page mode -- same kind, same
+   size -- on every checkpoint of every rank.
 2. **Sim streams are identical.**  The application-visible sim stream
    (timeslice boundaries and network messages) of a dcp run matches
    the incremental run exactly, at any block size: block hashing is an
@@ -39,17 +38,17 @@ PAGE = Layout().page_size
 NRANKS = 8
 
 
-def _config(mode, block_size):
+def _config(block_size):
     return ExperimentConfig(spec=paper_spec("sage-100MB"), nranks=NRANKS,
                             timeslice=0.5, run_duration=6.0,
                             ckpt_transport="estimate",
                             ckpt_interval_slices=2, ckpt_full_every=4,
-                            ckpt_mode=mode, dcp_block_size=block_size)
+                            ckpt_block_size=block_size)
 
 
-def _run(mode, block_size=256):
+def _run(block_size):
     tracer = Tracer(wall_clock=None, categories=SIM_CATEGORIES)
-    result = run_experiment(_config(mode, block_size),
+    result = run_experiment(_config(block_size),
                             obs=Observability(tracer=tracer))
     return result, tracer
 
@@ -69,26 +68,24 @@ def vt():
 
 @pytest.fixture(scope="module")
 def incremental():
-    return _run("incremental")
+    return _run(None)
 
 
 @pytest.fixture(scope="module")
 def dcp_page():
-    return _run("dcp", block_size=PAGE)
+    return _run(PAGE)
 
 
 @pytest.fixture(scope="module")
 def dcp_small():
-    return _run("dcp", block_size=256)
+    return _run(256)
 
 
 def test_block_equals_page_is_byte_identical(incremental, dcp_page):
     inc, _ = incremental
     dcp, _ = dcp_page
     for rank in range(NRANKS):
-        want = [(s, "dcp" if k == "incremental" else k, n)
-                for s, k, n in _rows(inc, rank)]
-        assert _rows(dcp, rank) == want, f"rank {rank}"
+        assert _rows(dcp, rank) == _rows(inc, rank), f"rank {rank}"
 
 
 def test_dcp_sim_identical_to_incremental(vt, incremental, dcp_page,

@@ -51,6 +51,16 @@ def test_config_validation():
         tiny_config(timeslice=0.0)
 
 
+def test_ckpt_block_size_checked_only_when_set():
+    # page mode never uses a block size, so small pages are fine
+    cfg = paper_config("sage-100MB", nranks=2).scaled(page_size=128)
+    assert cfg.ckpt_block_size is None
+    assert cfg.scaled(ckpt_block_size=64).ckpt_block_size == 64
+    for bad in (0, 96, 256):
+        with pytest.raises(ConfigurationError):
+            cfg.scaled(ckpt_block_size=bad)
+
+
 def test_sweep_timeslices_ib_declines():
     cfg = tiny_config(spec=small_spec(period=2.0, footprint_mb=4, main_mb=2,
                                       passes=3.0),

@@ -180,8 +180,8 @@ def test_dropped_piece_without_integrity_raises_on_missing_chain():
 # -- the same matrix over sub-page (dcp) block pieces -------------------------
 
 DCP_CONFIG = ExperimentConfig(spec=SPEC, nranks=3, timeslice=0.5,
-                              run_duration=7.0, ckpt_mode="dcp",
-                              dcp_block_size=64)
+                              run_duration=7.0,
+                              ckpt_block_size=64)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.snapshot import Checkpoint, PagePayload, SegmentRecord
+from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.storage import CheckpointStore
 
 PAGE = 128
@@ -28,11 +28,11 @@ def make_ckpt(seq, kind, npages):
     return Checkpoint(
         seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
         geometry=(SegmentRecord(sid=1, kind="data", base=0, npages=npages),),
-        payloads=(PagePayload(
+        payloads=(Payload(
             sid=1,
             indices=np.arange(npages, dtype=np.int64),
             versions=np.arange(1, npages + 1, dtype=np.uint64),
-            page_bytes=rng.integers(0, 256, size=(npages, PAGE),
+            unit_bytes=rng.integers(0, 256, size=(npages, PAGE),
                                     dtype=np.uint8)),))
 
 

@@ -66,7 +66,7 @@ DCP_CONFIG = ExperimentConfig(
     spec=paper_spec("sage-50MB"), nranks=8, timeslice=0.5,
     run_duration=6.0, ckpt_transport="network",
     ckpt_interval_slices=2, ckpt_full_every=5,
-    ckpt_mode="dcp", dcp_block_size=256)
+    ckpt_block_size=256)
 
 
 def canonical_events(tracer: Tracer) -> str:
@@ -208,7 +208,7 @@ def dcp_payload() -> dict:
     return {
         "app": DCP_CONFIG.spec.name,
         "nranks": DCP_CONFIG.nranks,
-        "block_size": DCP_CONFIG.dcp_block_size,
+        "block_size": DCP_CONFIG.ckpt_block_size,
         "planned_events": [e.as_dict() for e in CORRUPTION_PLAN],
         "final_time": res.final_time,
         "n_lives": len(res.lives),

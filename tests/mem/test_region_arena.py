@@ -43,10 +43,13 @@ def test_full_unmap_parks_and_same_size_mmap_reuses():
 
 def test_reused_segment_page_state_matches_fresh_mapping():
     asp = make_space()
+    asp.enable_block_tracking(PS // 4)
     seg = asp.mmap(2 * PS)
     seg.pages.protect_all()
     seg.pages.cpu_write(0, 1, version=3)
     assert seg.pages.dirty_count() == 1
+    asp.cpu_write(seg.base + PS, 8)
+    assert seg.blocks.versions.any()
     asp.munmap(seg.base, seg.size)
     again = asp.mmap(2 * PS)
     assert again is seg
@@ -54,6 +57,7 @@ def test_reused_segment_page_state_matches_fresh_mapping():
     assert not again.pages.any_protected(0, again.npages)
     # a recycled table starts versioning from scratch, like a fresh one
     assert int(again.pages.versions[0]) == 0
+    assert not again.blocks.versions.any()
 
 
 def test_addresses_stable_across_alloc_free_iterations():

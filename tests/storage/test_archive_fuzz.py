@@ -5,13 +5,14 @@ outright garbage -- and never crash, hang, or return nonsense exit
 codes."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint.snapshot import Checkpoint, PagePayload, SegmentRecord
+from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.cli import main
 from repro.storage import CheckpointStore
 from repro.storage.archive import MAGIC, save_store, scan_store
@@ -31,10 +32,10 @@ def tiny_store():
                 seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
                 geometry=(SegmentRecord(sid=1, kind="data", base=0,
                                         npages=2),),
-                payloads=(PagePayload(
+                payloads=(Payload(
                     sid=1, indices=np.arange(2, dtype=np.int64),
                     versions=np.arange(1, 3, dtype=np.uint64),
-                    page_bytes=rng.integers(0, 256, size=(2, PAGE),
+                    unit_bytes=rng.integers(0, 256, size=(2, PAGE),
                                             dtype=np.uint8)),))
             store.put(rank, seq, kind, ckpt.nbytes, payload=ckpt,
                       stored_at=float(seq))
@@ -133,3 +134,22 @@ def test_cli_verify_exit_codes_stay_in_contract(archive_bytes, tmp_path):
 
     missing = tmp_path / "nope.rckpt"
     assert main(["ckpt", "verify", str(missing)], out=io.StringIO()) == 2
+
+
+def test_failed_save_leaves_previous_archive_intact(tmp_path, monkeypatch):
+    path = tmp_path / "store.rckpt"
+    save_store(tiny_store(), path)
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def torn_write(self, data):
+        # the disk fills up halfway through the new archive
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError):
+        save_store(tiny_store(), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

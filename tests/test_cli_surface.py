@@ -163,14 +163,13 @@ def test_ckpt_mode_flags_documented_in_help(capsys):
         with pytest.raises(SystemExit):
             main(sub + ["--help"])
         text = capsys.readouterr().out
-        assert "--ckpt-mode" in text
-        assert "--dcp-block-size" in text
+        assert "--ckpt-block-size" in text
 
 
 def test_run_dcp_mode_end_to_end():
     code, out = run_cli("run", "--app", "lu", "--ranks", "2",
                         "--duration", "6", "--ckpt-transport", "estimate",
-                        "--ckpt-mode", "dcp", "--dcp-block-size", "512")
+                        "--ckpt-block-size", "512")
     assert code == 0
     assert "commit(s)" in out
 
@@ -183,16 +182,16 @@ def test_invalid_dcp_block_size_exits_two(sub, capsys):
     # 300 does not divide the page size: a configuration error, not an
     # argparse one -- reported to stderr with exit code 2
     code = main(sub + ["--app", "lu", "--ranks", "2", "--duration", "6",
-                       "--ckpt-mode", "dcp", "--dcp-block-size", "300"])
+                       "--ckpt-block-size", "300"])
     assert code == 2
     assert "bad configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--app", "lu", "--ckpt-mode", "paged"],
-    ["run", "--app", "lu", "--dcp-block-size", "0"],
-    ["run", "--app", "lu", "--dcp-block-size", "-8"],
-    ["faults", "run", "--app", "lu", "--ckpt-mode", "paged"],
+    ["run", "--app", "lu", "--ckpt-mode", "dcp"],
+    ["run", "--app", "lu", "--ckpt-block-size", "0"],
+    ["run", "--app", "lu", "--ckpt-block-size", "-8"],
+    ["faults", "run", "--app", "lu", "--ckpt-mode", "dcp"],
 ], ids=["bad-mode", "zero-block", "negative-block", "faults-bad-mode"])
 def test_bad_ckpt_mode_arguments_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
