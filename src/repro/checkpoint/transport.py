@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.errors import CheckpointError
+from repro.sim.engine import PRIORITY_NORMAL
 from repro.units import MiB
 
 #: durability callback signature: (rank, seq, done_at-or-None)
@@ -194,15 +195,12 @@ class _Piece:
     """One rank's capture in flight through the pipeline."""
 
     seq: int
-    nbytes: int
     on_durable: DurableFn
-    to_inject: int = 0
-    unacked: int = 0
-    #: zero-byte pieces still ride the pipeline as one sentinel frame
-    pending_empty_frame: bool = False
+    #: bytes not yet injected; an empty piece still rides the pipeline
+    #: as one zero-byte frame
+    to_inject: int
     failed: bool = False
     started_at: Optional[float] = None
-    done_at: Optional[float] = None
 
 
 class CheckpointTransport:
@@ -241,21 +239,30 @@ class CheckpointTransport:
     def sample(self, seq: int) -> None:
         """Record one per-timeslice sample of the cumulative counters
         (called at capture boundaries; cheap, append-only)."""
+        self._settle()
         self._samples.append({
             "seq": seq,
             "t": self.engine.now,
             "bytes_drained": sum(q.drained_bytes
                                  for q in self.queues.values()),
-            "queue_bytes": self.queue_bytes(),
+            "queue_bytes": self._in_flight(),
             "contention_delay": self.contention_delay(),
             "contended_messages": self.contended_messages(),
         })
 
     # -- accounting ---------------------------------------------------------
 
+    def _settle(self) -> None:
+        """Bring the drain ledger up to the engine's position (framed
+        transports retire frame durability lazily)."""
+
+    def _in_flight(self) -> int:
+        return sum(q.in_flight_bytes for q in self.queues.values())
+
     def queue_bytes(self) -> int:
         """Bytes currently in flight across every rank's queue."""
-        return sum(q.in_flight_bytes for q in self.queues.values())
+        self._settle()
+        return self._in_flight()
 
     def peak_queue_bytes(self) -> int:
         """The deepest any rank's drain queue ever got."""
@@ -282,11 +289,13 @@ class CheckpointTransport:
         busy = self.busy_time()
         if busy <= 0.0:
             return 0.0
+        self._settle()
         drained = sum(q.drained_bytes for q in self.queues.values())
         return drained / busy
 
     def snapshot(self) -> TransportStats:
         """Everything the measured feasibility verdict needs, picklable."""
+        self._settle()
         return TransportStats(
             mode=self.spec.mode,
             pieces=self.pieces,
@@ -295,7 +304,7 @@ class CheckpointTransport:
             bytes_submitted=sum(q.enqueued_bytes
                                 for q in self.queues.values()),
             bytes_drained=sum(q.drained_bytes for q in self.queues.values()),
-            in_flight_bytes=self.queue_bytes(),
+            in_flight_bytes=self._in_flight(),
             peak_queue_bytes=self.peak_queue_bytes(),
             stalls=self.stalls,
             stall_time=self.stall_time,
@@ -327,13 +336,6 @@ class CheckpointTransport:
                 m.series("checkpoint.transport.drained_bytes"),
             )
         return cache
-
-    def _update_queue_gauges(self) -> None:
-        obs = self.engine.obs
-        if obs.enabled:
-            cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
-            cache[2].set(self.peak_queue_bytes())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} mode={self.spec.mode!r} "
@@ -378,18 +380,34 @@ class _FramedTransport(CheckpointTransport):
     Per rank, pieces drain in FIFO order: frames inject back-to-back at
     the rank's NIC (the transmit link stays busy, but application
     messages interleave at frame boundaries because each frame is a
-    separate injection), cross the fabric, and are handed to
-    :meth:`_deposit_frame`, whose future resolves at durability.  Both
-    the fabric and the sinks are FIFO, so the head piece always
-    completes first.
+    separate injection), cross the fabric, and reserve their sink on
+    arrival.  Both the fabric and the sinks are FIFO, so the head piece
+    always completes first, and a piece's last frame is its last to
+    become durable.
+
+    Event budget: two engine events per frame (inject, arrival) and one
+    per piece (the last frame's durability, :meth:`_piece_durable`).
+    Every other frame's durability is a *phantom* event: its key
+    ``(done_at, PRIORITY_NORMAL, seq)`` is reserved from the engine at
+    the moment the event would have been scheduled and queued on a
+    per-rank FIFO.  :meth:`_settle` retires the frames whose key sorts
+    before the engine's position into the drain ledger and obs, so every
+    reader sees exactly the ledger one durability event per frame would
+    produce.
     """
 
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
                  nranks: int, network):
         super().__init__(spec, engine, sinks, nranks)
         self.network = network
-        self._pending: dict[int, deque] = {r: deque() for r in range(nranks)}
+        #: pieces awaiting durability, per rank, in submission order
+        self._pending = [deque() for _ in range(nranks)]
+        #: the subset still injecting; its head owns the next frame
+        self._to_inject = [deque() for _ in range(nranks)]
         self._injecting = [False] * nranks
+        #: rank -> its unsettled frames as ``(done_at, PRIORITY_NORMAL,
+        #: seq, nbytes)``, in key order; ranks with none have no entry
+        self._unsettled: dict[int, deque] = {}
         #: effective drain rate used to convert queue excess to stall
         #: seconds -- the slower of the wire and the sink
         self._drain_rate = min(network.spec.bandwidth,
@@ -402,23 +420,15 @@ class _FramedTransport(CheckpointTransport):
         """Put one frame on the fabric; returns (inject_at, arrival)."""
         raise NotImplementedError
 
-    def _deposit_frame(self, rank: int, nbytes: int):
-        """Frame arrived at the target; returns the durability future."""
-        raise NotImplementedError
-
     def submit(self, rank: int, seq: int, nbytes: int,
                on_durable: DurableFn) -> float:
+        self._settle()
         self.pieces += 1
         q = self.queues[rank]
         q.enqueue(nbytes)
-        piece = _Piece(seq=seq, nbytes=nbytes, on_durable=on_durable,
-                       to_inject=nbytes, unacked=nbytes)
-        if nbytes == 0:
-            # an empty piece still rides the pipeline (one zero-byte
-            # frame) so per-rank FIFO completion order is preserved
-            piece.pending_empty_frame = True
-            piece.unacked = 1
+        piece = _Piece(seq=seq, on_durable=on_durable, to_inject=nbytes)
         self._pending[rank].append(piece)
+        self._to_inject[rank].append(piece)
         stall = 0.0
         if q.in_flight_bytes > self.spec.max_queue_bytes:
             # only the part of *this* piece that overflows the bound is
@@ -431,7 +441,7 @@ class _FramedTransport(CheckpointTransport):
         obs = self.engine.obs
         if obs.enabled:
             cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
+            cache[1].set(self._in_flight())
             cache[2].set(self.peak_queue_bytes())
             if stall:
                 cache[5].inc()
@@ -444,69 +454,101 @@ class _FramedTransport(CheckpointTransport):
     # -- the frame loop -----------------------------------------------------
 
     def _inject_next(self, rank: int) -> None:
-        piece = None
-        for p in self._pending[rank]:
-            if p.to_inject > 0 or p.pending_empty_frame:
-                piece = p
-                break
-        if piece is None:
+        injecting = self._to_inject[rank]
+        if not injecting:
             self._injecting[rank] = False
             return
-        if piece.pending_empty_frame:
-            frame = 0
-            piece.pending_empty_frame = False
-        else:
-            frame = min(self.spec.frame_bytes, piece.to_inject)
-            piece.to_inject -= frame
+        piece = injecting[0]
+        frame = min(self.spec.frame_bytes, piece.to_inject)
+        piece.to_inject -= frame
+        last = piece.to_inject == 0
+        if last:
+            injecting.popleft()
         self.frames_sent += 1
         inject_at, inject_done, arrival = self._send_frame(rank, frame)
         if piece.started_at is None:
             piece.started_at = inject_at
         self.engine.schedule_at(arrival, self._frame_arrived, rank, piece,
-                                frame)
+                                frame, last)
         # the transmit link frees at inject-done; keep the loop going
         # from there so application sends interleave between frames
         self.engine.schedule_at(inject_done, self._inject_next, rank)
 
-    def _frame_arrived(self, rank: int, piece: _Piece, frame: int) -> None:
-        fut = self._deposit_frame(rank, frame)
-        fut.add_callback(lambda done_at: self._frame_durable(
-            rank, piece, frame, done_at))
-
-    def _frame_durable(self, rank: int, piece: _Piece, frame: int,
-                       done_at: Optional[float]) -> None:
-        q = self.queues[rank]
-        q.drain(frame)
-        if done_at is None:
+    def _frame_arrived(self, rank: int, piece: _Piece, frame: int,
+                       last: bool) -> None:
+        done_at, ok = self._reserve[rank](frame)
+        if last:
+            self.engine.schedule_at(done_at, self._piece_durable, rank,
+                                    piece, frame, ok)
+            return
+        if not ok:
+            # read only by the piece's own event, which settles after
+            # this frame, so the failure can be recorded at once
             piece.failed = True
-        else:
-            piece.done_at = done_at
-        piece.unacked -= frame if piece.nbytes else 1
+        fifo = self._unsettled.get(rank)
+        if fifo is None:
+            fifo = self._unsettled[rank] = deque()
+        fifo.append((done_at, PRIORITY_NORMAL,
+                     self.engine.reserve_seq(done_at), frame))
+
+    def _piece_durable(self, rank: int, piece: _Piece, frame: int,
+                       ok: bool) -> None:
+        """The durability event of a piece's last frame."""
+        self._settle()
+        now = self.engine.now
+        self.queues[rank].drain(frame)
         obs = self.engine.obs
         if obs.enabled:
             cache = self._gauge_obs(obs)
-            cache[1].set(self.queue_bytes())
+            cache[1].set(self._in_flight())
             cache[3].inc(frame)
             cache[4].inc()
-            cache[7].record(self.engine.now, frame)
-        if (piece.unacked == 0 and piece.to_inject == 0
-                and not piece.pending_empty_frame):
-            self._finish_piece(rank, piece)
-
-    def _finish_piece(self, rank: int, piece: _Piece) -> None:
+            cache[7].record(now, frame)
         deq = self._pending[rank]
         if not deq or deq[0] is not piece:
             raise CheckpointError(
                 f"rank {rank}: piece seq {piece.seq} completed out of "
                 "FIFO order")
         deq.popleft()
-        end = self.engine.now if piece.failed else piece.done_at
-        self._note_busy(rank, piece.started_at, end)
-        if piece.failed:
+        self._note_busy(rank, piece.started_at, now)
+        if piece.failed or not ok:
             self.failed_pieces += 1
             piece.on_durable(rank, piece.seq, None)
         else:
-            piece.on_durable(rank, piece.seq, piece.done_at)
+            piece.on_durable(rank, piece.seq, now)
+
+    def _settle(self) -> None:
+        """Drain every queued frame whose phantom durability event sorts
+        before the engine's position (ties with a timer at the same
+        instant stay in flight: timers sort first)."""
+        if not self._unsettled:
+            return
+        pos = self.engine.position
+        obs = self.engine.obs
+        settled = [] if obs.enabled else None
+        for rank, fifo in list(self._unsettled.items()):
+            nbytes = 0
+            while fifo and fifo[0] < pos:
+                entry = fifo.popleft()
+                nbytes += entry[3]
+                if settled is not None:
+                    settled.append(entry)
+            if nbytes:
+                self.queues[rank].drain(nbytes)
+            if not fifo:
+                del self._unsettled[rank]
+        if settled:
+            # recorded in global (done_at, seq) order, the order their
+            # events would have fired: the windowed series drops late
+            # samples
+            settled.sort()
+            cache = self._gauge_obs(obs)
+            cache[1].set(self._in_flight())
+            cache[3].inc(sum(e[3] for e in settled))
+            cache[4].inc(len(settled))
+            series = cache[7]
+            for entry in settled:
+                series.record(entry[0], entry[3])
 
     # -- accounting ---------------------------------------------------------
 
@@ -530,6 +572,7 @@ class NetworkTransport(_FramedTransport):
         super().__init__(spec, engine, sinks, nranks, network)
         self.port = network.open_storage_port("ckpt-storage",
                                               hops=spec.port_hops)
+        self._reserve = [sinks[r].reserve for r in range(nranks)]
 
     def _sink_rate(self) -> float:
         rates = []
@@ -547,9 +590,6 @@ class NetworkTransport(_FramedTransport):
     def _send_frame(self, rank: int, nbytes: int):
         return self.network.storage_send(rank, nbytes, port=self.port)
 
-    def _deposit_frame(self, rank: int, nbytes: int):
-        return self.sinks[rank].write(nbytes)
-
 
 class DisklessTransport(_FramedTransport):
     """Frames cross the fabric to a buddy rank's memory.
@@ -558,7 +598,7 @@ class DisklessTransport(_FramedTransport):
     nranks`` mapped by the caller; here the transport only needs the
     destination rank per source.  Frames occupy the buddy's *receive*
     link (incast with application traffic on that node) and then land
-    at memcpy speed via :meth:`~repro.storage.DisklessSink.ingest` --
+    at memcpy speed via :meth:`~repro.storage.DisklessSink.reserve_ingest` --
     the wire was already simulated, so the sink charges memory copy and
     capacity only.
     """
@@ -569,11 +609,12 @@ class DisklessTransport(_FramedTransport):
         for rank in range(nranks):
             if buddies.get(rank) is None:
                 raise CheckpointError(f"rank {rank} has no buddy")
-            if not hasattr(sinks[rank], "ingest"):
+            if not hasattr(sinks[rank], "reserve_ingest"):
                 raise CheckpointError(
                     f"diskless transport needs DisklessSink-like sinks, "
                     f"got {sinks[rank]!r}")
         self.buddies = buddies
+        self._reserve = [sinks[r].reserve_ingest for r in range(nranks)]
 
     def _sink_rate(self) -> float:
         return min(sink.memcpy_bandwidth for sink in self.sinks.values())
@@ -581,9 +622,6 @@ class DisklessTransport(_FramedTransport):
     def _send_frame(self, rank: int, nbytes: int):
         return self.network.storage_send(rank, nbytes,
                                          dst=self.buddies[rank])
-
-    def _deposit_frame(self, rank: int, nbytes: int):
-        return self.sinks[rank].ingest(nbytes)
 
 
 def make_transport(transport: Union[None, str, TransportSpec], *,

@@ -392,8 +392,13 @@ def cmd_run(args, out) -> int:
           f"{result.iterations} iterations, {args.ranks} ranks", file=out)
     print(f"footprint: {result.footprint().as_row()}", file=out)
     print(f"IB:        {result.ib().as_row()}", file=out)
-    print(f"period:    {result.measured_period():.2f} s measured "
-          f"({config.spec.iteration_period:.2f} s configured)", file=out)
+    n = len(result.iteration_starts)
+    if n < 2:
+        print(f"period:    n/a ({n} iteration{'' if n == 1 else 's'} "
+              "observed)", file=out)
+    else:
+        print(f"period:    {result.measured_period():.2f} s measured "
+              f"({config.spec.iteration_period:.2f} s configured)", file=out)
     stats = result.transport_stats
     if stats is not None:
         from repro.units import fmt_bytes

@@ -68,6 +68,8 @@ _QUALNAME_KINDS = {
                                       "arg0_rank"),
     "_FramedTransport._frame_arrived": ("checkpoint", "transport.frame",
                                         "arg0_rank"),
+    "_FramedTransport._piece_durable": ("storage", "sink.write",
+                                        "arg0_rank"),
     "CowWriteout.finish": ("checkpoint", "cow.finish", None),
 }
 

@@ -16,6 +16,14 @@ The queue is a binary heap of ``(time, priority, seq, event)`` tuples:
 back into Python-level ``Event`` ordering.  Cancelled events stay in the
 heap (lazy deletion) but are counted exactly, and the heap is compacted
 in place once cancelled entries outnumber live ones.
+
+Components that settle their own bookkeeping lazily instead of queueing
+one event per completion (the checkpoint transport's frames) use two
+small pieces of public API: :meth:`Engine.reserve_seq` draws the
+sequence number such an event would have had, and
+:attr:`Engine.position` is the ``(time, priority, seq)`` key of the
+event being dispatched.  A completion keyed below the position has
+"already fired"; one keyed above it has not.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ PRIORITY_NORMAL: int = 10
 
 #: Priority for bookkeeping that must observe everything else at an instant.
 PRIORITY_LATE: int = 100
+
+_INF = float("inf")
 
 #: Compact the heap only past this size (tiny heaps are not worth it).
 _COMPACT_MIN: int = 64
@@ -145,6 +155,9 @@ class Engine:
         #: heap of (time, priority, seq, Event) -- C-level tuple ordering
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
+        #: key of the event being dispatched (the heap entry itself, so
+        #: the hot loop pays one store); see :attr:`position`
+        self._pos: tuple = (self._now, -_INF, -1)
         self._running = False
         self._stop_requested = False
         self._live_processes = 0  # maintained by SimProcess
@@ -172,6 +185,16 @@ class Engine:
         """Current virtual time in seconds."""
         return self._now
 
+    @property
+    def position(self) -> tuple:
+        """``(time, priority, seq)`` of the event being dispatched.
+
+        Every event that sorts before this key has fired and none after
+        it has.  Once ``run(until=T)`` returns without :meth:`stop`, the
+        position is ``(T, inf, inf)``: everything up to and including
+        ``T`` has fired."""
+        return self._pos[:3]
+
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
@@ -193,6 +216,23 @@ class Engine:
         ev = Event(time, priority, seq, fn, args, engine=self)
         heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
+
+    def reserve_seq(self, time: float) -> int:
+        """Draw the sequence number an event at ``time`` would get,
+        without queueing one.
+
+        The reservation orders exactly like a scheduled event of that
+        key: it seals an open coalesced batch at ``time`` the way
+        :meth:`schedule_at` does, so work joining the instant later
+        still sorts after it.  Callers compare ``(time, priority, seq)``
+        against :attr:`position` to tell whether the phantom event has
+        "fired"."""
+        if time < self._now:
+            raise ClockError(
+                f"cannot reserve at t={time:.9f}, now is t={self._now:.9f}")
+        if self._open_batches:
+            self._open_batches.pop(time, None)
+        return next(self._seq)
 
     def schedule_coalesced(self, time: float, fn: Callable[[Any], Any],
                            item: Any, priority: int = PRIORITY_NORMAL) -> Event:
@@ -291,6 +331,7 @@ class Engine:
                 continue
             ev._engine = None
             self._now = entry[0]
+            self._pos = entry
             self._n_dispatched += 1
             ev.fn(*ev.args)
             if self._event_hooks:
@@ -334,6 +375,7 @@ class Engine:
                 heappop(heap)
                 ev._engine = None
                 self._now = entry[0]
+                self._pos = entry
                 self._n_dispatched += 1
                 ev.fn(*ev.args)
                 if trace_dispatch:
@@ -349,8 +391,10 @@ class Engine:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stop_requested:
+        if (until is not None and not self._stop_requested
+                and self._now <= until):
             self._now = until
+            self._pos = (until, _INF, _INF)
         if detect_deadlock and not self._heap and self._live_processes > 0:
             raise DeadlockError(
                 f"event queue drained with {self._live_processes} process(es) still blocked")

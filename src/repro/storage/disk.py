@@ -35,6 +35,20 @@ class Disk:
         data never reached stable storage; the disk still spent the
         time).
         """
+        done_at, ok = self.reserve(nbytes)
+        fut = Future(self.engine, label=f"{self.name}.write#{self.ops}")
+        self.engine.schedule_at(done_at, fut.resolve,
+                                done_at if ok else None)
+        return fut
+
+    def reserve(self, nbytes: int) -> tuple[float, bool]:
+        """Queue a write of ``nbytes`` and return ``(done_at, ok)``.
+
+        The same accounting as :meth:`write` -- queue position, ops,
+        injected failures, counters -- without a future or an event:
+        the caller schedules its own completion at ``done_at``.  ``ok``
+        is False when the write was hit by an injected media failure.
+        """
         if nbytes < 0:
             raise StorageError(f"negative write size {nbytes}")
         now = self.engine.now
@@ -44,29 +58,27 @@ class Disk:
         self._free_at = done_at
         self.ops += 1
         self.busy_time += duration
-        fut = Future(self.engine, label=f"{self.name}.write#{self.ops}")
         if self._fail_budget > 0:
             self._fail_budget -= 1
             self.writes_failed += 1
-            failed = True
-            self.engine.schedule_at(done_at, fut.resolve, None)
+            ok = False
         else:
             self.bytes_written += nbytes
-            failed = False
-            self.engine.schedule_at(done_at, fut.resolve, done_at)
+            ok = True
         obs = self.engine.obs
         if obs.enabled:
             m = obs.metrics
-            if failed:
-                m.counter("storage.writes_failed").inc()
-            else:
+            if ok:
                 m.counter("storage.bytes_written").inc(nbytes)
                 m.counter(f"storage.{self.name}.bytes_written").inc(nbytes)
+            else:
+                m.counter("storage.writes_failed").inc()
             tracer = obs.tracer
             if tracer.enabled and tracer.wants("storage"):
                 tracer.complete("disk.write", "storage", start, duration,
-                                track=self.name, bytes=nbytes, failed=failed)
-        return fut
+                                track=self.name, bytes=nbytes,
+                                failed=not ok)
+        return done_at, ok
 
     def fail_next_writes(self, count: int = 1) -> None:
         """Fault injection: the next ``count`` writes fail (their futures

@@ -45,20 +45,28 @@ class DisklessSink:
     def write(self, nbytes: int) -> Future:
         """Stream ``nbytes`` to the buddy; future resolves at durability
         (in the buddy's memory)."""
-        return self._deposit(nbytes, "write", self.link.latency
+        done_at = self._take(nbytes, "write", self.link.latency
                              + nbytes / self.link.bandwidth
                              + nbytes / self.memcpy_bandwidth)
+        return self._future("write", done_at)
 
     def ingest(self, nbytes: int) -> Future:
         """Deposit ``nbytes`` that already crossed the fabric (the
         checkpoint transport simulated the wire itself): charge only the
         memcpy into the buddy's memory plus capacity."""
-        return self._deposit(nbytes, "ingest",
-                             nbytes / self.memcpy_bandwidth)
+        done_at, _ = self.reserve_ingest(nbytes)
+        return self._future("ingest", done_at)
 
-    def _deposit(self, nbytes: int, op: str, duration: float) -> Future:
+    def reserve_ingest(self, nbytes: int) -> tuple[float, bool]:
+        """The accounting of :meth:`ingest` without a future or an
+        event: returns ``(done_at, ok)`` for the caller to schedule its
+        own completion (``ok`` is always True; memory does not fail)."""
+        return self._take(nbytes, "ingest",
+                          nbytes / self.memcpy_bandwidth), True
+
+    def _take(self, nbytes: int, op: str, duration: float) -> float:
         """Take ``nbytes`` into the buddy's memory once the NIC is free
-        and ``duration`` has passed."""
+        and ``duration`` has passed; returns the completion time."""
         if nbytes < 0:
             raise StorageError(f"negative {op} size {nbytes}")
         if self.bytes_held + nbytes > self.capacity:
@@ -71,6 +79,9 @@ class DisklessSink:
         self.bytes_written += nbytes
         self.bytes_held += nbytes
         self.ops += 1
+        return done_at
+
+    def _future(self, op: str, done_at: float) -> Future:
         fut = Future(self.engine, label=f"{self.name}.{op}#{self.ops}")
         self.engine.schedule_at(done_at, fut.resolve, done_at)
         return fut

@@ -9,7 +9,7 @@ checkpoint produces.
 from __future__ import annotations
 
 from repro.errors import StorageError
-from repro.sim import Engine, Future, all_of
+from repro.sim import Engine, Future
 from repro.storage.disk import Disk
 from repro.storage.models import DiskSpec, SCSI_ULTRA320
 
@@ -45,24 +45,35 @@ class StorageArray:
         return sum(d.spec.bandwidth for d in self.disks)
 
     def write(self, nbytes: int) -> Future:
-        """Striped write; future resolves when all chunks are durable."""
-        if nbytes < 0:
-            raise StorageError(f"negative write size {nbytes}")
+        """Striped write; future resolves when all chunks are durable,
+        with ``None`` if any chunk failed (as :meth:`Disk.write` does)."""
         if nbytes == 0:
             fut = Future(self.engine, label=f"{self.name}.write0")
             fut.resolve(self.engine.now)
             return fut
-        chunk_futures = []
+        done_at, ok = self.reserve(nbytes)
+        fut = Future(self.engine, label=f"{self.name}.write.done")
+        self.engine.schedule_at(done_at, fut.resolve,
+                                done_at if ok else None)
+        return fut
+
+    def reserve(self, nbytes: int) -> tuple[float, bool]:
+        """Deal ``nbytes`` to the member disks and return ``(done_at,
+        ok)``: the last chunk's completion, and whether every chunk
+        succeeded.  No future or event; the caller schedules its own
+        completion at ``done_at``."""
+        if nbytes < 0:
+            raise StorageError(f"negative write size {nbytes}")
+        done_at, ok = self.engine.now, True
         remaining = nbytes
         while remaining > 0:
             chunk = min(remaining, self.stripe_unit)
-            chunk_futures.append(self.disks[self._next].write(chunk))
+            chunk_done, chunk_ok = self.disks[self._next].reserve(chunk)
+            done_at = max(done_at, chunk_done)
+            ok = ok and chunk_ok
             self._next = (self._next + 1) % len(self.disks)
             remaining -= chunk
-        done = all_of(self.engine, chunk_futures, label=f"{self.name}.write")
-        out = Future(self.engine, label=f"{self.name}.write.done")
-        done.add_callback(lambda times: out.resolve(max(times)))
-        return out
+        return done_at, ok
 
     def bytes_written(self) -> int:
         """Total bytes written across the stripe set."""

@@ -143,3 +143,95 @@ def test_spec_validation_rejects_nonsense():
     assert normalize_spec("diskless").mode == "diskless"
     spec = TransportSpec(mode="network")
     assert normalize_spec(spec) is spec
+
+
+# -- lazy settlement is exact -------------------------------------------------------
+
+
+def test_run_until_settles_every_frame_durable_by_then():
+    # one rank, one 8 MiB piece in 1 MiB frames: six frames are on disk
+    # by t = 0.05.  The run ends at ``until``, after the last dispatched
+    # event, and the ledger must reflect the whole elapsed interval.
+    engine, transport = _build("network", 1, frame_bytes=MiB)
+    transport.submit(0, 0, 8 * MiB, lambda *a: None)
+    engine.run(until=0.05)
+    assert transport.snapshot().bytes_drained == 6 * MiB
+
+
+def test_frame_durable_at_a_readers_instant_follows_event_order():
+    # exactly representable times: 1 MiB frames cross a zero-latency
+    # 1 GiB/s fabric in 2**-10 s and take 2**-8 s on a seek-free
+    # 256 MiB/s disk.  Frame 1 is durable at 5/1024 s, frame 2 (of
+    # four, so intermediate) at 9/1024 s; it arrives at 2/1024 s.
+    from repro.net.models import LinkSpec
+    from repro.sim import PRIORITY_TIMER
+    from repro.storage import DiskSpec
+
+    engine = Engine()
+    network = Network(engine, 1,
+                      spec=LinkSpec("pow2", bandwidth=1 << 30, latency=0.0))
+    disk = Disk(engine, DiskSpec("pow2", bandwidth=1 << 28, seek_latency=0.0))
+    transport = make_transport(TransportSpec(mode="network", frame_bytes=MiB),
+                               engine=engine, network=network,
+                               sinks={0: disk}, nranks=1)
+    t = 9 / 1024
+    seen = {}
+
+    def read(name):
+        seen[name] = transport.snapshot().bytes_drained
+
+    engine.schedule_at(t, read, "timer", priority=PRIORITY_TIMER)
+    engine.schedule_at(t, read, "scheduled before arrival")
+    transport.submit(0, 0, 4 * MiB, lambda *a: None)
+    engine.schedule_at(3 / 1024, engine.schedule_at, t, read,
+                       "scheduled after arrival")
+    engine.run()
+    assert seen == {"timer": MiB, "scheduled before arrival": MiB,
+                    "scheduled after arrival": 2 * MiB}
+
+
+def test_obs_counters_and_series_match_the_transport_stats():
+    from repro.cluster.experiment import paper_config, run_experiment
+    from repro.obs import MetricsRegistry, Observability
+
+    obs = Observability(metrics=MetricsRegistry())
+    config = paper_config("sage-100MB", nranks=4, timeslice=1.0,
+                          run_duration=20.0, ckpt_transport="network")
+    stats = run_experiment(config, obs=obs).transport_stats
+    m = obs.metrics
+    assert stats.frames > stats.pieces > 0
+    assert m.counter("checkpoint.transport.frames").value == stats.frames
+    assert (m.counter("checkpoint.transport.bytes_drained").value
+            == stats.bytes_drained)
+    series = m.series("checkpoint.transport.drained_bytes")
+    assert series.count == stats.frames
+    assert series.total == stats.bytes_drained
+    # recorded in time order: no sample fell outside the windows
+    windows = series.windows()
+    assert sum(w["count"] for w in windows) == stats.frames
+    assert sum(w["sum"] for w in windows) == stats.bytes_drained
+
+
+def test_settled_frames_reach_the_series_in_time_order():
+    # rank 0's disk is slow (1.5 s a frame), rank 1's faster (0.6 s).
+    # Rank 1's piece completes at 1.8 s and settles both ranks at once:
+    # rank 0's frame at 1.5 s must not be recorded before rank 1's at
+    # 0.6 s, or the series would drop the older sample.
+    from repro.obs import MetricsRegistry, Observability
+    from repro.storage import DiskSpec
+
+    obs = Observability(metrics=MetricsRegistry())
+    engine = Engine(obs=obs)
+    network = Network(engine, 2)
+    sinks = {r: Disk(engine, DiskSpec(f"d{r}", bandwidth=MiB / secs,
+                                      seek_latency=0.0), name=f"ckpt.r{r}")
+             for r, secs in ((0, 1.5), (1, 0.6))}
+    transport = make_transport(TransportSpec(mode="network", frame_bytes=MiB),
+                               engine=engine, network=network, sinks=sinks,
+                               nranks=2)
+    for rank in (0, 1):
+        transport.submit(rank, 0, 3 * MiB, lambda *a: None)
+    engine.run()
+    series = obs.metrics.series("checkpoint.transport.drained_bytes")
+    assert series.count == transport.snapshot().frames == 6
+    assert sum(w["count"] for w in series.windows()) == 6

@@ -167,3 +167,45 @@ def test_stop_flag_resets_on_next_run():
     eng.run(until=5.0)
     assert not eng.stopped
     assert eng.now == 5.0
+
+
+def test_position_is_the_key_of_the_dispatching_event():
+    eng = Engine()
+    seen = []
+    eng.schedule(1.0, lambda: seen.append(eng.position))
+    eng.schedule(1.0, lambda: seen.append(eng.position),
+                 priority=PRIORITY_TIMER)
+    assert eng.position < (0.0, PRIORITY_TIMER, 0)   # nothing fired yet
+    eng.run()
+    assert seen == [(1.0, PRIORITY_TIMER, 1), (1.0, PRIORITY_NORMAL, 0)]
+    assert eng.position == (1.0, PRIORITY_NORMAL, 0)  # drained: last event
+
+
+def test_position_after_run_until_covers_the_whole_instant():
+    eng = Engine()
+    eng.schedule(2.0, lambda: None)
+    eng.run(until=1.5)
+    assert eng.position == (1.5, float("inf"), float("inf"))
+    assert (1.5, PRIORITY_LATE, 10 ** 9) < eng.position < (2.0, 0, 0)
+    eng.schedule_at(1.7, eng.stop)
+    eng.run(until=3.0)                   # stopped: the stopping event
+    assert eng.position[:2] == (1.7, PRIORITY_NORMAL)
+
+
+def test_reserve_seq_orders_like_a_scheduled_event():
+    eng = Engine()
+    order = []
+    append = order.append        # one callable, so the batch could join
+    eng.schedule_coalesced(1.0, append, "a")
+    seq = eng.reserve_seq(1.0)
+    # the reservation sealed the open batch: "b" sorts after it
+    eng.schedule_coalesced(1.0, append, "b")
+    marks = []
+    eng.schedule_at(1.0, lambda: marks.append(
+        (1.0, PRIORITY_NORMAL, seq) < eng.position))
+    eng.run()
+    assert order == ["a", "b"]
+    assert eng.stats()["dispatched"] == 3   # two batches and the marker
+    assert marks == [True]
+    with pytest.raises(ClockError):
+        eng.reserve_seq(0.5)

@@ -152,3 +152,29 @@ def test_fail_next_writes_validation():
     disk = Disk(Engine(), SCSI_ULTRA320)
     with pytest.raises(StorageError):
         disk.fail_next_writes(0)
+
+
+def test_array_write_with_failed_chunk_resolves_none():
+    eng = Engine()
+    arr = StorageArray(eng, ndisks=2)
+    arr.disks[0].fail_next_writes(1)
+    got = []
+    arr.write(4 * MiB).add_callback(got.append)
+    eng.run()
+    assert got == [None]                  # one lost chunk loses the write
+    assert arr.disks[0].writes_failed == 1
+    assert arr.bytes_written() == 3 * MiB
+
+
+def test_reserve_matches_write_accounting_without_events():
+    eng = Engine()
+    spec = DiskSpec("t", bandwidth=100.0, seek_latency=0.5)
+    disk = Disk(eng, spec)
+    assert disk.reserve(100) == (pytest.approx(1.5), True)
+    disk.fail_next_writes(1)
+    assert disk.reserve(100) == (pytest.approx(3.0), False)
+    assert eng.pending_events() == 0
+    assert (disk.ops, disk.writes_failed, disk.bytes_written) == (2, 1, 100)
+    arr = StorageArray(eng, 2, spec, stripe_unit=100)
+    assert arr.reserve(300) == (pytest.approx(3.0), True)  # 2 chunks on d0
+    assert eng.pending_events() == 0

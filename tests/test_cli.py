@@ -89,3 +89,12 @@ def test_unknown_app_rejected_by_argparse():
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         run_cli()
+
+
+def test_run_shorter_than_two_iterations_reports_no_period():
+    code, text = run_cli("run", "--app", "sage-100MB", "--ranks", "2",
+                         "--duration", "20", "--timeslice", "1",
+                         "--ckpt-transport", "network")
+    assert code == 0
+    assert "period:    n/a (1 iteration observed)" in text
+    assert "checkpoint:" in text and "measured:" in text
