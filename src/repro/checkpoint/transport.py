@@ -33,15 +33,20 @@ unboundedly.
 The measured side of the feasibility verdict
 (:meth:`~repro.feasibility.FeasibilityAnalyzer.assess_measured`) reads
 a :class:`TransportStats` snapshot: achieved drain bandwidth over the
-per-rank busy-interval union (mathematically bounded by the sink rate,
-hence by ``TechnologyEnvelope.sustainable_bandwidth``) plus the
-per-timeslice contention delay the fabric charged application messages.
+per-rank busy-interval union plus the per-timeslice contention delay
+the fabric charged application messages.  The busy union contains each
+rank's transmit-link and sink occupation, so the achieved bandwidth is
+bounded by the slower of the wire and the sink: by the envelope's
+``sustainable_bandwidth`` in ``network`` mode, but only by the network
+in ``diskless`` mode, whose memcpy sink outruns any disk
+(:attr:`~repro.feasibility.MeasuredVerdict.drain_bound`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Optional, Union
 
 from repro.errors import CheckpointError
@@ -283,9 +288,8 @@ class CheckpointTransport:
 
     def achieved_bandwidth(self) -> float:
         """Drained bytes over busy time.  Because each rank's busy union
-        contains its sink's occupation, this never exceeds the sink
-        bandwidth -- and hence never exceeds the envelope's
-        ``sustainable_bandwidth``."""
+        contains its transmit link's and its sink's occupation, this
+        never exceeds the slower of the wire and the sink bandwidth."""
         busy = self.busy_time()
         if busy <= 0.0:
             return 0.0
@@ -385,8 +389,21 @@ class _FramedTransport(CheckpointTransport):
     always completes first, and a piece's last frame is its last to
     become durable.
 
-    Event budget: two engine events per frame (inject, arrival) and one
-    per piece (the last frame's durability, :meth:`_piece_durable`).
+    Event budget: no engine event per frame, one per piece (the last
+    frame's durability, :meth:`_piece_durable`), and one per contiguous
+    run of frame-stream entries (:meth:`_pump`).  A frame's inject step
+    and arrival are *stream entries* ``(time, PRIORITY_NORMAL, seq,
+    handler, args, lane)`` whose ``seq`` is reserved from the engine at
+    the moment a per-frame event would have been scheduled.  Arrivals
+    queue on one FIFO lane per destination link (a FIFO server, so its
+    keys only grow); only each lane's head and each rank's pending
+    inject sit in the stream heap.  The heap's head always has one real
+    engine event at its own key (:meth:`_arm`); when it fires, the pump
+    runs every entry keyed before the engine's :meth:`horizon
+    <repro.sim.Engine.horizon>`, each at its exact key
+    (:meth:`~repro.sim.Engine.enter`), so every state change happens in
+    the global order per-frame events produced.
+
     Every other frame's durability is a *phantom* event: its key
     ``(done_at, PRIORITY_NORMAL, seq)`` is reserved from the engine at
     the moment the event would have been scheduled and queued on a
@@ -408,6 +425,10 @@ class _FramedTransport(CheckpointTransport):
         #: rank -> its unsettled frames as ``(done_at, PRIORITY_NORMAL,
         #: seq, nbytes)``, in key order; ranks with none have no entry
         self._unsettled: dict[int, deque] = {}
+        #: the frame stream: a heap of pending injects and arrival-lane
+        #: heads, and the seqs of its entries that have a pump queued
+        self._stream: list[tuple] = []
+        self._armed: set[int] = set()
         #: effective drain rate used to convert queue excess to stall
         #: seconds -- the slower of the wire and the sink
         self._drain_rate = min(network.spec.bandwidth,
@@ -449,6 +470,7 @@ class _FramedTransport(CheckpointTransport):
         if not self._injecting[rank]:
             self._injecting[rank] = True
             self._inject_next(rank)
+            self._arm()
         return stall
 
     # -- the frame loop -----------------------------------------------------
@@ -468,19 +490,28 @@ class _FramedTransport(CheckpointTransport):
         inject_at, inject_done, arrival = self._send_frame(rank, frame)
         if piece.started_at is None:
             piece.started_at = inject_at
-        self.engine.schedule_at(arrival, self._frame_arrived, rank, piece,
-                                frame, last)
+        reserve_seq = self.engine.reserve_seq
+        lane = self._lanes[rank]
+        entry = (arrival, PRIORITY_NORMAL, reserve_seq(arrival),
+                 self._frame_arrived, (rank, piece, frame, last), lane)
+        lane.append(entry)
+        if len(lane) == 1:
+            heappush(self._stream, entry)
         # the transmit link frees at inject-done; keep the loop going
         # from there so application sends interleave between frames
-        self.engine.schedule_at(inject_done, self._inject_next, rank)
+        heappush(self._stream,
+                 (inject_done, PRIORITY_NORMAL, reserve_seq(inject_done),
+                  self._inject_next, (rank,), None))
 
     def _frame_arrived(self, rank: int, piece: _Piece, frame: int,
-                       last: bool) -> None:
+                       last: bool) -> bool:
+        """Reserve the frame's sink; True when that queued an engine
+        event (the piece's durability)."""
         done_at, ok = self._reserve[rank](frame)
         if last:
             self.engine.schedule_at(done_at, self._piece_durable, rank,
                                     piece, frame, ok)
-            return
+            return True
         if not ok:
             # read only by the piece's own event, which settles after
             # this frame, so the failure can be recorded at once
@@ -490,6 +521,42 @@ class _FramedTransport(CheckpointTransport):
             fifo = self._unsettled[rank] = deque()
         fifo.append((done_at, PRIORITY_NORMAL,
                      self.engine.reserve_seq(done_at), frame))
+        return False
+
+    def _pump(self) -> None:
+        """Run the frame stream up to the engine's next event.
+
+        Each entry runs at its own key, after every engine event keyed
+        before it and before every one keyed after it.  Only an entry
+        that queued an engine event can lower the horizon."""
+        engine = self.engine
+        enter = engine.enter
+        stream = self._stream
+        self._armed.discard(engine.position[2])
+        horizon = engine.horizon()
+        while stream and stream[0] < horizon:
+            entry = heappop(stream)
+            lane = entry[5]
+            if lane is not None:
+                lane.popleft()
+                if lane:
+                    heappush(stream, lane[0])
+            enter(entry)
+            if entry[3](*entry[4]):
+                horizon = engine.horizon()
+        self._arm()
+
+    def _arm(self) -> None:
+        """Give the stream's head a pump at its own key, unless it has
+        one.  Pumps are never cancelled (``sim.cancelled`` stays an
+        exact count of other work): no pump runs past a queued one's
+        key, so each finds its own entry at the head when it fires."""
+        stream = self._stream
+        if stream:
+            seq = stream[0][2]
+            if seq not in self._armed:
+                self._armed.add(seq)
+                self.engine.schedule_reserved(stream[0][0], seq, self._pump)
 
     def _piece_durable(self, rank: int, piece: _Piece, frame: int,
                        ok: bool) -> None:
@@ -573,6 +640,8 @@ class NetworkTransport(_FramedTransport):
         self.port = network.open_storage_port("ckpt-storage",
                                               hops=spec.port_hops)
         self._reserve = [sinks[r].reserve for r in range(nranks)]
+        # every rank's frames serialize at the one storage port
+        self._lanes = [deque()] * nranks
 
     def _sink_rate(self) -> float:
         rates = []
@@ -615,6 +684,10 @@ class DisklessTransport(_FramedTransport):
                     f"got {sinks[rank]!r}")
         self.buddies = buddies
         self._reserve = [sinks[r].reserve_ingest for r in range(nranks)]
+        # frames serialize at their buddy's receive link
+        lanes: dict[int, deque] = {}
+        self._lanes = [lanes.setdefault(buddies[r], deque())
+                       for r in range(nranks)]
 
     def _sink_rate(self) -> float:
         return min(sink.memcpy_bandwidth for sink in self.sinks.values())

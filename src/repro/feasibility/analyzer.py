@@ -87,9 +87,18 @@ class MeasuredVerdict:
     per_slice_contention: tuple = ()
 
     @property
+    def drain_bound(self) -> float:
+        """The most this mode's drain can sustain (B/s): network frames
+        must cross the wire *and* land on disk, but diskless frames land
+        in buddy memory and never touch a disk, so only the network
+        bounds them."""
+        if self.mode == "diskless":
+            return self.envelope.network_bandwidth
+        return self.envelope.sustainable_bandwidth
+
+    @property
     def fraction_of_sustainable(self) -> float:
-        return (self.achieved_bandwidth
-                / self.envelope.sustainable_bandwidth)
+        return self.achieved_bandwidth / self.drain_bound
 
     @property
     def keeping_up(self) -> bool:

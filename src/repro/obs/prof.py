@@ -64,10 +64,7 @@ _QUALNAME_KINDS = {
     "Network._deliver_batch": ("net", "message.delivery", "batch_dst"),
     "RankComm._complete.<locals>.finish": ("mpi", "message.copy", None),
     "FaultInjector._deliver": ("faults", "fault.delivery", None),
-    "_FramedTransport._inject_next": ("checkpoint", "transport.inject",
-                                      "arg0_rank"),
-    "_FramedTransport._frame_arrived": ("checkpoint", "transport.frame",
-                                        "arg0_rank"),
+    "_FramedTransport._pump": ("checkpoint", "transport.frame", None),
     "_FramedTransport._piece_durable": ("storage", "sink.write",
                                         "arg0_rank"),
     "CowWriteout.finish": ("checkpoint", "cow.finish", None),

@@ -24,6 +24,15 @@ sequence number such an event would have had, and
 :attr:`Engine.position` is the ``(time, priority, seq)`` key of the
 event being dispatched.  A completion keyed below the position has
 "already fired"; one keyed above it has not.
+
+Components that dispatch a private stream of such keyed work themselves
+(the checkpoint transport's frame stream) merge it into the global order
+with three more: :meth:`Engine.schedule_reserved` queues one real event
+at a reserved key, :meth:`Engine.horizon` is the key of the next event
+the running loop would dispatch, and :meth:`Engine.enter` moves the
+clock and position forward to a stream entry's key before it runs.  An
+entry keyed between the position and the horizon runs exactly where its
+own event would have fired.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ PRIORITY_NORMAL: int = 10
 PRIORITY_LATE: int = 100
 
 _INF = float("inf")
+_UNBOUNDED = (_INF, _INF, _INF)
 
 #: Compact the heap only past this size (tiny heaps are not worth it).
 _COMPACT_MIN: int = 64
@@ -160,6 +170,8 @@ class Engine:
         self._pos: tuple = (self._now, -_INF, -1)
         self._running = False
         self._stop_requested = False
+        #: ``(until, inf, inf)`` of the run in progress; see :meth:`horizon`
+        self._bound: tuple = _UNBOUNDED
         self._live_processes = 0  # maintained by SimProcess
         self._n_cancelled = 0     # cancelled entries still in the heap
         #: the observability sink every instrumented component reaches
@@ -233,6 +245,22 @@ class Engine:
         if self._open_batches:
             self._open_batches.pop(time, None)
         return next(self._seq)
+
+    def schedule_reserved(self, time: float, seq: int,
+                          fn: Callable[..., Any], *args: Any) -> Event:
+        """Queue ``fn(*args)`` at ``(time, PRIORITY_NORMAL, seq)``, a key
+        whose ``seq`` was drawn earlier by :meth:`reserve_seq`.
+
+        The event fires exactly where the reservation sorts.  Nothing
+        else may be queued at the same key (each reservation is queued
+        at most once), and open coalesced batches are left alone: the
+        reservation sealed them when it was drawn."""
+        if time < self._now:
+            raise ClockError(
+                f"cannot schedule event at t={time:.9f}, now is t={self._now:.9f}")
+        ev = Event(time, PRIORITY_NORMAL, seq, fn, args, engine=self)
+        heapq.heappush(self._heap, (time, PRIORITY_NORMAL, seq, ev))
+        return ev
 
     def schedule_coalesced(self, time: float, fn: Callable[[Any], Any],
                            item: Any, priority: int = PRIORITY_NORMAL) -> Event:
@@ -312,6 +340,38 @@ class Engine:
         """True when the last :meth:`run` returned because of :meth:`stop`."""
         return self._stop_requested
 
+    def horizon(self) -> tuple:
+        """``(time, priority, seq)`` of the next event the running loop
+        would dispatch after the current one.
+
+        Cancelled heads are skipped; the key is capped at ``(until, inf,
+        inf)`` of the :meth:`run` in progress, and once :meth:`stop` has
+        been requested of a running loop it is the :attr:`position`
+        itself (nothing more fires).  Under :meth:`step` it is the next
+        queued event's key.  Work keyed strictly between the position
+        and the horizon may run now, via :meth:`enter`, in exactly the
+        order separate events would have fired it."""
+        if self._stop_requested and self._running:
+            return self._pos[:3]
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+            self._n_cancelled -= 1
+        if heap and heap[0] < self._bound:
+            return heap[0][:3]
+        return self._bound
+
+    def enter(self, key: tuple) -> None:
+        """Move :attr:`now` and :attr:`position` to ``key``, a
+        ``(time, priority, seq, ...)`` key at or after the position: the
+        caller is about to run work keyed there (see :meth:`horizon`)."""
+        time, pos = key[0], self._pos
+        if time < pos[0] or (time == pos[0] and key[:3] < pos[:3]):
+            raise ClockError(
+                f"cannot enter {key[:3]!r} behind position {pos[:3]!r}")
+        self._now = time
+        self._pos = key
+
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         heap = self._heap
@@ -323,6 +383,7 @@ class Engine:
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
         heap = self._heap
+        self._bound = _UNBOUNDED
         while heap:
             entry = heapq.heappop(heap)
             ev = entry[3]
@@ -362,6 +423,7 @@ class Engine:
         trace_dispatch = tracer.enabled and tracer.wants(ENGINE_DISPATCH)
         self._running = True
         self._stop_requested = False
+        self._bound = _UNBOUNDED if until is None else (until, _INF, _INF)
         try:
             while heap:
                 entry = heap[0]

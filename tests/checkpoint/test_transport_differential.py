@@ -163,6 +163,23 @@ def test_network_mode_measured_verdict_is_bounded(network):
     assert 0.0 < verdict.fraction_of_sustainable <= 1.0
 
 
+def test_diskless_measured_verdict_is_bounded_by_the_network():
+    # diskless frames land in buddy memory, never on a disk: they drain
+    # faster than the disk-bound sustainable rate, so the verdict must
+    # measure them against the wire they actually cross
+    from repro.cluster.experiment import paper_config
+
+    result = run_experiment(paper_config(
+        "lu", nranks=4, timeslice=0.5, run_duration=8.0,
+        ckpt_transport="diskless"))
+    verdict = result.measured_feasibility()
+    envelope = TechnologyEnvelope()
+    assert verdict.mode == "diskless"
+    assert verdict.achieved_bandwidth > envelope.sustainable_bandwidth
+    assert verdict.drain_bound == envelope.network_bandwidth
+    assert 0.0 < verdict.fraction_of_sustainable <= 1.0
+
+
 def test_network_trace_includes_frames_and_validates(vt, network, tmp_path,
                                                      capsys):
     _, tr_net = network

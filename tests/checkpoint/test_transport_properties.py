@@ -9,8 +9,9 @@ the end.  Two layers of evidence:
   must be refused without corrupting the ledger);
 - a simulated run of the real framed transports with random piece
   sizes and submission times, with an engine event hook re-checking
-  every queue and the aggregate ledger after every dispatched event,
-  plus the per-rank FIFO completion order.
+  every queue and the aggregate ledger after every dispatched event
+  and at random sample instants inside frame trains, plus the per-rank
+  FIFO completion order.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from repro.checkpoint.transport import (DrainQueue, TransportSpec,
                                         make_transport, normalize_spec)
 from repro.errors import CheckpointError
 from repro.net import Network
-from repro.sim import Engine
+from repro.sim import PRIORITY_LATE, Engine
 from repro.storage import Disk, DisklessSink
 from repro.units import KiB, MiB
 
@@ -86,9 +87,11 @@ def _build(mode: str, nranks: int, frame_bytes: int):
            st.integers(min_value=0, max_value=2),       # rank
            st.floats(min_value=0.0, max_value=5.0),     # submit time
            st.integers(min_value=0, max_value=640 * KiB)),  # piece size
-           min_size=1, max_size=12))
+           min_size=1, max_size=12),
+       st.lists(st.floats(min_value=0.0, max_value=5.5),    # sample times
+                max_size=16))
 @settings(max_examples=25, deadline=None)
-def test_transport_ledger_holds_at_every_event(mode, pieces):
+def test_transport_ledger_holds_at_every_event(mode, pieces, samples):
     nranks = 3
     engine, transport = _build(mode, nranks, frame_bytes=64 * KiB)
     done: dict[int, list[int]] = {r: [] for r in range(nranks)}
@@ -98,7 +101,12 @@ def test_transport_ledger_holds_at_every_event(mode, pieces):
         assert done_at is not None and done_at >= 0.0
         done[rank].append(seq)
 
+    last = [engine.position]
+
     def check(_event):
+        # stream entries run at their own keys: time never runs backwards
+        assert engine.position >= last[0]
+        last[0] = engine.position
         for q in transport.queues.values():
             assert q.consistent
         snap = transport.snapshot()
@@ -112,6 +120,10 @@ def test_transport_ledger_holds_at_every_event(mode, pieces):
 
     for seq, (rank, at, nbytes) in enumerate(sorted(pieces, key=lambda p: p[1])):
         engine.schedule_at(at, submit, rank, seq, nbytes)
+    # the hook fires once per engine event, and one event runs a whole
+    # stretch of frames: samplers read the ledger inside those stretches
+    for at in samples:
+        engine.schedule_at(at, check, None, priority=PRIORITY_LATE)
     engine.add_event_hook(check)
     engine.run()
 
@@ -235,3 +247,119 @@ def test_settled_frames_reach_the_series_in_time_order():
     series = obs.metrics.series("checkpoint.transport.drained_bytes")
     assert series.count == transport.snapshot().frames == 6
     assert sum(w["count"] for w in series.windows()) == 6
+
+
+# -- the frame stream merges into the global event order exactly -------------------
+
+
+def _pow2(nranks: int = 2):
+    """1 MiB frames on a zero-latency 1 GiB/s fabric (2**-10 s a frame)
+    into seek-free 256 MiB/s disks: every instant is exact."""
+    from repro.net.models import LinkSpec
+    from repro.storage import DiskSpec
+
+    engine = Engine()
+    network = Network(engine, nranks,
+                      spec=LinkSpec("pow2", bandwidth=1 << 30, latency=0.0))
+    sinks = {r: Disk(engine, DiskSpec("pow2", bandwidth=1 << 28,
+                                      seek_latency=0.0), name=f"ckpt.r{r}")
+             for r in range(nranks)}
+    transport = make_transport(TransportSpec(mode="network", frame_bytes=MiB),
+                               engine=engine, network=network, sinks=sinks,
+                               nranks=nranks)
+    return engine, network, transport
+
+
+@pytest.mark.parametrize("scheduled, arrival, contended", [
+    ("before submit", 2 / 1024, 0),     # wins the tie: frame 2 waits
+    ("after submit", 3 / 1024, 1),      # loses it: waits behind frame 2
+])
+def test_app_send_tied_with_a_frame_inject_follows_event_order(
+        scheduled, arrival, contended):
+    # frame 2 of rank 0's piece injects at exactly 1/1024 s; an
+    # application send on the same transmit link at the same instant
+    # goes first iff its event was scheduled before the inject's was
+    from repro.net import Message
+
+    engine, network, transport = _pow2()
+    msg = Message(src=0, dst=1, size=MiB)
+    t = 1 / 1024
+    if scheduled == "before submit":
+        engine.schedule_at(t, network.send, msg)
+    transport.submit(0, 0, 4 * MiB, lambda *a: None)
+    if scheduled == "after submit":
+        engine.schedule_at(0.5 / 1024, engine.schedule_at, t,
+                           network.send, msg)
+    engine.run()
+    assert msg.send_time == t
+    assert msg.arrival_time == arrival
+    assert network.ckpt_contended_messages == contended
+    assert transport.snapshot().bytes_drained == 4 * MiB
+
+
+def _traffic(engine, network, transport, durable):
+    """Two ranks' pieces interleaved with application sends both ways."""
+    from repro.net import Message
+
+    for seq, (rank, at, nbytes) in enumerate((
+            (0, 0.0, 3 * MiB + 5), (1, 0.0004, 2 * MiB),
+            (0, 0.0011, MiB // 2), (1, 0.0019, 3 * MiB))):
+        engine.schedule_at(at, transport.submit, rank, seq, nbytes,
+                           lambda *a: durable.append(a))
+    for k in range(12):
+        src = k % 2
+        engine.schedule_at(k * 0.00037, network.send,
+                           Message(src=src, dst=1 - src, size=300_000 + k))
+
+
+def _state(engine, network, transport):
+    return (engine.now, transport.snapshot(), network.messages_delivered,
+            network.ckpt_contention_delay, network.storage_ports[0].frames)
+
+
+def test_run_until_in_steps_matches_one_uninterrupted_run():
+    steps = [k / 3000 for k in range(1, 40)]
+    engine, network, transport = _pow2()
+    whole, whole_durable = [], []
+    _traffic(engine, network, transport, whole_durable)
+    for t in steps:
+        engine.schedule_at(t, lambda: whole.append(
+            _state(engine, network, transport)), priority=PRIORITY_LATE)
+    engine.run()
+
+    engine, network, transport = _pow2()
+    stepped, stepped_durable = [], []
+    _traffic(engine, network, transport, stepped_durable)
+    for t in steps:
+        engine.run(until=t)
+        stepped.append(_state(engine, network, transport))
+    engine.run()
+    assert stepped == whole
+    assert stepped_durable == whole_durable
+    # the steps cut through frame trains, not just between pieces
+    assert any(0 < s[1].in_flight_bytes for s in stepped)
+
+
+def test_stop_mid_train_then_resume_matches_the_uninterrupted_run():
+    t_stop = 0.0027                     # inside rank 1's second piece
+    runs = []
+    for stop in (False, True):
+        engine, network, transport = _pow2()
+        durable, seen = [], []
+        _traffic(engine, network, transport, durable)
+
+        def read(stop=stop, engine=engine, network=network,
+                 transport=transport, seen=seen):
+            seen.append(_state(engine, network, transport))
+            if stop:
+                engine.stop()
+
+        engine.schedule_at(t_stop, read, priority=PRIORITY_LATE)
+        engine.run()
+        if stop:
+            assert engine.stopped and engine.now == t_stop
+            assert _state(engine, network, transport) == seen[0]
+            engine.run()
+        assert seen[0][1].in_flight_bytes > 0
+        runs.append((seen, durable, _state(engine, network, transport)))
+    assert runs[0] == runs[1]

@@ -11,6 +11,7 @@ metrics of one seeded fault-injection run on it.  Every value is exact
 tolerance.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -39,6 +40,13 @@ TRANSPORT_CONFIG = ExperimentConfig(
     ckpt_interval_slices=2, ckpt_full_every=3)
 TRANSPORT_CATEGORIES = frozenset(
     {"timeslice", "net", "checkpoint", "storage"})
+
+#: the diskless golden: the same shape with frames landing in buddy
+#: memory, so they serialize on the buddies' receive links instead of
+#: one storage port.  FT's all-to-all puts application messages on
+#: those links too, so the golden pins how the two interleave.
+TRANSPORT_DISKLESS_CONFIG = dataclasses.replace(
+    TRANSPORT_CONFIG, spec=paper_spec("ft"), ckpt_transport="diskless")
 
 #: the corruption golden: the same 8-rank Sage shape, full_every=5 so
 #: committed seqs 1..9 share one chain; a bit-flip silently poisons
@@ -117,16 +125,15 @@ def faults_payload() -> dict:
     }
 
 
-def transport_payload() -> dict:
+def transport_payload(config: ExperimentConfig = TRANSPORT_CONFIG) -> dict:
     tracer = Tracer(wall_clock=None, categories=TRANSPORT_CATEGORIES)
-    result = run_experiment(TRANSPORT_CONFIG,
-                            obs=Observability(tracer=tracer))
+    result = run_experiment(config, obs=Observability(tracer=tracer))
     canon = canonical_events(tracer)
     stats = result.transport_stats
     verdict = result.measured_feasibility()
     return {
-        "app": TRANSPORT_CONFIG.spec.name,
-        "nranks": TRANSPORT_CONFIG.nranks,
+        "app": config.spec.name,
+        "nranks": config.nranks,
         "final_time": result.final_time,
         "ckpt_commits": result.ckpt_commits,
         "n_events": len(tracer.events),
@@ -247,6 +254,8 @@ def main() -> None:
     for name, payload in (("golden_trace.json", trace_payload()),
                           ("golden_faults.json", faults_payload()),
                           ("golden_transport.json", transport_payload()),
+                          ("golden_transport_diskless.json",
+                           transport_payload(TRANSPORT_DISKLESS_CONFIG)),
                           ("golden_corruption.json", corruption_payload()),
                           ("golden_dcp.json", dcp_payload())):
         path = HERE / name

@@ -16,7 +16,9 @@ from repro.faults import run_with_failures
 from tests.golden.make_golden import (CORRUPTION_CATEGORIES,
                                       CORRUPTION_PLAN, DCP_CONFIG,
                                       TRANSPORT_CATEGORIES,
-                                      TRANSPORT_CONFIG, canonical_events,
+                                      TRANSPORT_CONFIG,
+                                      TRANSPORT_DISKLESS_CONFIG,
+                                      canonical_events,
                                       corruption_payload, dcp_payload,
                                       faults_payload, trace_payload,
                                       transport_payload)
@@ -59,6 +61,26 @@ def test_transport_run_matches_golden_exactly():
     golden = load("golden_transport.json")
     current = json.loads(json.dumps(transport_payload()))
     assert current == golden
+
+
+def test_diskless_transport_run_matches_golden_exactly():
+    golden = load("golden_transport_diskless.json")
+    current = json.loads(json.dumps(
+        transport_payload(TRANSPORT_DISKLESS_CONFIG)))
+    assert current == golden
+
+
+def test_golden_diskless_transport_shares_the_buddy_links():
+    # guard against the golden being regenerated into a run where the
+    # buddy receive links carry only checkpoint frames
+    golden = load("golden_transport_diskless.json")
+    t = golden["transport"]
+    assert golden["nranks"] == 8 and golden["app"] == "ft"
+    assert t["mode"] == "diskless"
+    assert t["frames"] > t["pieces"] > 0
+    assert t["bytes_drained"] == t["bytes_submitted"] > 0
+    assert t["contended_messages"] > 0 and t["contention_delay"] > 0.0
+    assert 0.0 < golden["measured"]["fraction_of_sustainable"] <= 1.0
 
 
 def test_transport_run_is_deterministic_byte_for_byte():

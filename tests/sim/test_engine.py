@@ -209,3 +209,73 @@ def test_reserve_seq_orders_like_a_scheduled_event():
     assert marks == [True]
     with pytest.raises(ClockError):
         eng.reserve_seq(0.5)
+
+
+def test_schedule_reserved_fires_where_its_reservation_sorts():
+    eng = Engine()
+    order = []
+    eng.schedule_at(1.0, order.append, "before")
+    seq = eng.reserve_seq(1.0)
+    eng.schedule_at(1.0, order.append, "after")
+    eng.schedule_at(0.5, order.append, "earlier")
+    ev = eng.schedule_reserved(1.0, seq, order.append, "reserved")
+    assert ev.sort_key() == (1.0, PRIORITY_NORMAL, seq)
+    eng.run()
+    assert order == ["earlier", "before", "reserved", "after"]
+    with pytest.raises(ClockError):
+        eng.schedule_reserved(0.5, eng.reserve_seq(1.0), order.append, "x")
+
+
+def test_horizon_skips_a_cancelled_head():
+    eng = Engine()
+    seen = []
+    eng.schedule_at(1.0, lambda: seen.append(eng.horizon()))
+    eng.schedule_at(2.0, lambda: None).cancel()
+    late = eng.schedule_at(3.0, lambda: None)
+    eng.run()
+    assert seen == [late.sort_key()]
+
+
+def test_horizon_is_bounded_by_until():
+    eng = Engine()
+    seen = []
+    eng.schedule_at(1.0, lambda: seen.append(eng.horizon()))
+    eng.schedule_at(3.0, lambda: seen.append(eng.horizon()))
+    eng.run(until=2.5)
+    assert seen == [(2.5, float("inf"), float("inf"))]
+    eng.run()                            # unbounded: nothing left after
+    assert seen[1] == (float("inf"),) * 3
+
+
+def test_horizon_equals_position_after_stop():
+    eng = Engine()
+    seen = []
+
+    def stop_and_look():
+        eng.stop()
+        seen.append((eng.horizon(), eng.position))
+
+    eng.schedule_at(1.0, stop_and_look)
+    eng.schedule_at(2.0, lambda: None)
+    eng.run()
+    (horizon, position), = seen
+    assert horizon == position == (1.0, PRIORITY_NORMAL, 0)
+
+
+def test_enter_moves_forward_and_refuses_to_move_back():
+    eng = Engine()
+    seen = []
+
+    def walk():
+        seq = eng.reserve_seq(2.5)
+        with pytest.raises(ClockError):
+            eng.enter((1.0, PRIORITY_NORMAL, seq))
+        with pytest.raises(ClockError):      # same instant, earlier key
+            eng.enter((2.0, PRIORITY_TIMER, seq))
+        eng.enter(eng.position)              # staying put is allowed
+        eng.enter((2.5, PRIORITY_NORMAL, seq))
+        seen.append((eng.now, eng.position))
+
+    eng.schedule_at(2.0, walk)
+    eng.run()
+    assert seen == [(2.5, (2.5, PRIORITY_NORMAL, 1))]
