@@ -39,6 +39,7 @@ Package map (bottom-up):
 ``repro.cluster``    node models and the experiment harness
 ``repro.analytic``   closed-form IB(timeslice) predictions
 ``repro.trace``      trace persistence
+``repro.atomic``     crash-safe artifact writes
 ===================  ====================================================
 """
 

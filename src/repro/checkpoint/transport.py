@@ -69,8 +69,6 @@ class TransportSpec:
     frame_bytes: int = 1 * MiB
     #: per-rank drain-queue bound; captures beyond it stall the app
     max_queue_bytes: int = 64 * MiB
-    #: extra fabric hops between a compute rank and the storage port
-    port_hops: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in TRANSPORT_MODES:
@@ -83,9 +81,6 @@ class TransportSpec:
         if self.max_queue_bytes < 1:
             raise CheckpointError(
                 f"max_queue_bytes must be >= 1, got {self.max_queue_bytes}")
-        if self.port_hops < 0:
-            raise CheckpointError(
-                f"port_hops must be >= 0, got {self.port_hops}")
 
     @property
     def measured(self) -> bool:
@@ -391,15 +386,16 @@ class _FramedTransport(CheckpointTransport):
 
     Event budget: no engine event per frame, one per piece (the last
     frame's durability, :meth:`_piece_durable`), and one per contiguous
-    run of frame-stream entries (:meth:`_pump`).  A frame's inject step
-    and arrival are *stream entries* ``(time, PRIORITY_NORMAL, seq,
-    handler, args, lane)`` whose ``seq`` is reserved from the engine at
-    the moment a per-frame event would have been scheduled.  Arrivals
-    queue on one FIFO lane per destination link (a FIFO server, so its
-    keys only grow); only each lane's head and each rank's pending
-    inject sit in the stream heap.  The heap's head always has one real
-    engine event at its own key (:meth:`_arm`); when it fires, the pump
-    runs every entry keyed before the engine's :meth:`horizon
+    run of frame-stream entries (:meth:`_pump`).  A frame is two flat
+    *stream entries*: its inject step ``(time, PRIORITY_NORMAL, seq,
+    rank)`` and its arrival ``(time, PRIORITY_NORMAL, seq, rank, piece,
+    nbytes, last)``, each ``seq`` reserved from the engine at the moment
+    a per-frame event would have been scheduled.  Arrivals queue on one
+    FIFO lane per destination link (a FIFO server, so its keys only
+    grow); only each lane's head and each rank's pending inject sit in
+    the stream heap.  The heap's head always has one real engine event
+    at its own key (:meth:`_arm`); when it fires, the pump runs every
+    entry keyed before the engine's :meth:`horizon
     <repro.sim.Engine.horizon>`, each at its exact key
     (:meth:`~repro.sim.Engine.enter`), so every state change happens in
     the global order per-frame events produced.
@@ -411,6 +407,11 @@ class _FramedTransport(CheckpointTransport):
     before the engine's position into the drain ledger and obs, so every
     reader sees exactly the ledger one durability event per frame would
     produce.
+
+    Subclasses set, per rank, the sink's ``reserve`` (``_reserve``), the
+    arrival lane (``_lanes``); and, once, ``_send(rank, nbytes)``:
+    ``Network.storage_send`` to the rank's fabric target, the storage
+    port or the rank's buddy node.
     """
 
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
@@ -435,10 +436,6 @@ class _FramedTransport(CheckpointTransport):
                                self._sink_rate())
 
     def _sink_rate(self) -> float:
-        raise NotImplementedError
-
-    def _send_frame(self, rank: int, nbytes: int):
-        """Put one frame on the fabric; returns (inject_at, arrival)."""
         raise NotImplementedError
 
     def submit(self, rank: int, seq: int, nbytes: int,
@@ -468,6 +465,7 @@ class _FramedTransport(CheckpointTransport):
                 cache[5].inc()
                 cache[6].inc(stall)
         if not self._injecting[rank]:
+            # the first frame draws its seqs at the submit instant
             self._injecting[rank] = True
             self._inject_next(rank)
             self._arm()
@@ -476,6 +474,8 @@ class _FramedTransport(CheckpointTransport):
     # -- the frame loop -----------------------------------------------------
 
     def _inject_next(self, rank: int) -> None:
+        """Put the rank's next frame on the fabric: queue its arrival,
+        then the inject step that follows it."""
         injecting = self._to_inject[rank]
         if not injecting:
             self._injecting[rank] = False
@@ -487,63 +487,65 @@ class _FramedTransport(CheckpointTransport):
         if last:
             injecting.popleft()
         self.frames_sent += 1
-        inject_at, inject_done, arrival = self._send_frame(rank, frame)
+        inject_at, inject_done, arrival = self._send(rank, frame)
         if piece.started_at is None:
             piece.started_at = inject_at
         reserve_seq = self.engine.reserve_seq
-        lane = self._lanes[rank]
         entry = (arrival, PRIORITY_NORMAL, reserve_seq(arrival),
-                 self._frame_arrived, (rank, piece, frame, last), lane)
+                 rank, piece, frame, last)
+        lane = self._lanes[rank]
         lane.append(entry)
         if len(lane) == 1:
             heappush(self._stream, entry)
         # the transmit link frees at inject-done; keep the loop going
         # from there so application sends interleave between frames
-        heappush(self._stream,
-                 (inject_done, PRIORITY_NORMAL, reserve_seq(inject_done),
-                  self._inject_next, (rank,), None))
-
-    def _frame_arrived(self, rank: int, piece: _Piece, frame: int,
-                       last: bool) -> bool:
-        """Reserve the frame's sink; True when that queued an engine
-        event (the piece's durability)."""
-        done_at, ok = self._reserve[rank](frame)
-        if last:
-            self.engine.schedule_at(done_at, self._piece_durable, rank,
-                                    piece, frame, ok)
-            return True
-        if not ok:
-            # read only by the piece's own event, which settles after
-            # this frame, so the failure can be recorded at once
-            piece.failed = True
-        fifo = self._unsettled.get(rank)
-        if fifo is None:
-            fifo = self._unsettled[rank] = deque()
-        fifo.append((done_at, PRIORITY_NORMAL,
-                     self.engine.reserve_seq(done_at), frame))
-        return False
+        heappush(self._stream, (inject_done, PRIORITY_NORMAL,
+                                reserve_seq(inject_done), rank))
 
     def _pump(self) -> None:
         """Run the frame stream up to the engine's next event.
 
         Each entry runs at its own key, after every engine event keyed
-        before it and before every one keyed after it.  Only an entry
-        that queued an engine event can lower the horizon."""
+        before it and before every one keyed after it.  An inject entry
+        is :meth:`_inject_next`; an arrival reserves its sink here.
+        Only a piece's last arrival queues an engine event, so only it
+        can lower the horizon."""
         engine = self.engine
         enter = engine.enter
+        reserve_seq = engine.reserve_seq
+        inject_next = self._inject_next
+        lanes = self._lanes
+        reserve = self._reserve
+        unsettled = self._unsettled
         stream = self._stream
         self._armed.discard(engine.position[2])
         horizon = engine.horizon()
         while stream and stream[0] < horizon:
             entry = heappop(stream)
-            lane = entry[5]
-            if lane is not None:
-                lane.popleft()
-                if lane:
-                    heappush(stream, lane[0])
             enter(entry)
-            if entry[3](*entry[4]):
+            if len(entry) == 4:
+                inject_next(entry[3])
+                continue
+            _, _, _, rank, piece, frame, last = entry
+            lane = lanes[rank]
+            lane.popleft()
+            if lane:
+                heappush(stream, lane[0])
+            done_at, ok = reserve[rank](frame)
+            if last:
+                engine.schedule_at(done_at, self._piece_durable, rank,
+                                   piece, frame, ok)
                 horizon = engine.horizon()
+                continue
+            if not ok:
+                # read only by the piece's own event, which settles
+                # after this frame, so the failure can be recorded now
+                piece.failed = True
+            fifo = unsettled.get(rank)
+            if fifo is None:
+                fifo = unsettled[rank] = deque()
+            fifo.append((done_at, PRIORITY_NORMAL, reserve_seq(done_at),
+                         frame))
         self._arm()
 
     def _arm(self) -> None:
@@ -637,8 +639,12 @@ class NetworkTransport(_FramedTransport):
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
                  nranks: int, network):
         super().__init__(spec, engine, sinks, nranks, network)
-        self.port = network.open_storage_port("ckpt-storage",
-                                              hops=spec.port_hops)
+        port = self.port = network.open_storage_port("ckpt-storage")
+
+        def send(rank: int, nbytes: int):
+            return network.storage_send(rank, nbytes, port=port)
+
+        self._send = send
         self._reserve = [sinks[r].reserve for r in range(nranks)]
         # every rank's frames serialize at the one storage port
         self._lanes = [deque()] * nranks
@@ -655,9 +661,6 @@ class NetworkTransport(_FramedTransport):
                     f"network transport needs disk-like sinks, "
                     f"got {sink!r}")
         return min(rates)
-
-    def _send_frame(self, rank: int, nbytes: int):
-        return self.network.storage_send(rank, nbytes, port=self.port)
 
 
 class DisklessTransport(_FramedTransport):
@@ -683,6 +686,11 @@ class DisklessTransport(_FramedTransport):
                     f"diskless transport needs DisklessSink-like sinks, "
                     f"got {sinks[rank]!r}")
         self.buddies = buddies
+
+        def send(rank: int, nbytes: int):
+            return network.storage_send(rank, nbytes, dst=buddies[rank])
+
+        self._send = send
         self._reserve = [sinks[r].reserve_ingest for r in range(nranks)]
         # frames serialize at their buddy's receive link
         lanes: dict[int, deque] = {}
@@ -691,10 +699,6 @@ class DisklessTransport(_FramedTransport):
 
     def _sink_rate(self) -> float:
         return min(sink.memcpy_bandwidth for sink in self.sinks.values())
-
-    def _send_frame(self, rank: int, nbytes: int):
-        return self.network.storage_send(rank, nbytes,
-                                         dst=self.buddies[rank])
 
 
 def make_transport(transport: Union[None, str, TransportSpec], *,

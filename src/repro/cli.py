@@ -701,8 +701,9 @@ def cmd_obs_diff(args, out) -> int:
         return 2
     if args.report:
         import json
-        from pathlib import Path
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+
+        from repro.atomic import atomic_write
+        atomic_write(args.report, json.dumps(report, indent=2) + "\n")
     print(render_diff(report), file=out)
     return 1 if report["regressions"] else 0
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.errors import FaultPlanError
 from repro.sim.random import RngStreams
 
@@ -207,7 +208,7 @@ class FaultPlan:
 
     def to_file(self, path: Union[str, Path]) -> None:
         """Write the plan as JSON, loadable by :meth:`from_file`."""
-        Path(path).write_text(json.dumps(
+        atomic_write(path, json.dumps(
             {"events": [e.as_dict() for e in self.events]}, indent=2))
 
     # -- queries -------------------------------------------------------------

@@ -33,18 +33,15 @@ class StoragePort:
 
     Checkpoint frames from every sender serialize here before reaching
     the disks behind it -- the aggregate-storage-bandwidth bottleneck of
-    cluster-wide coordinated writeback.  ``hops`` is the extra fabric
-    distance between a compute node and the storage target.
+    cluster-wide coordinated writeback.  A frame's first byte reaches the
+    port one link latency after it injects.
     """
 
-    __slots__ = ("name", "hops", "rx_free", "bytes_received", "frames",
+    __slots__ = ("name", "rx_free", "bytes_received", "frames",
                  "busy_time")
 
-    def __init__(self, name: str = "storage", hops: int = 1):
-        if hops < 0:
-            raise NetworkError(f"port hops must be >= 0, got {hops}")
+    def __init__(self, name: str = "storage"):
         self.name = name
-        self.hops = hops
         self.rx_free = 0.0
         self.bytes_received = 0
         self.frames = 0
@@ -290,10 +287,9 @@ class Network:
 
     # -- checkpoint transport ----------------------------------------------------
 
-    def open_storage_port(self, name: str = "storage",
-                          hops: int = 1) -> StoragePort:
+    def open_storage_port(self, name: str = "storage") -> StoragePort:
         """Attach a storage target's ingest link to the fabric."""
-        port = StoragePort(name, hops=hops)
+        port = StoragePort(name)
         self.storage_ports.append(port)
         return port
 
@@ -323,10 +319,14 @@ class Network:
         schedules its own arrival handling -- no :class:`Message` is
         delivered.
         """
-        self._check_node(src)
+        nnodes = self.nnodes
+        if not 0 <= src < nnodes:
+            raise NetworkError(f"node {src} outside network of {nnodes}")
         if (port is None) == (dst is None):
             raise NetworkError(
                 "storage_send needs exactly one of port= or dst=")
+        if dst is not None and not 0 <= dst < nnodes:
+            raise NetworkError(f"node {dst} outside network of {nnodes}")
         if nbytes < 0:
             raise NetworkError(f"negative frame size {nbytes}")
         if not self._ckpt_active:
@@ -335,29 +335,31 @@ class Network:
             self._ckpt_active = True
             self._route = self._route_contended
         now = self.engine.now
-        serialize = nbytes / self.spec.bandwidth
-        inject_at = max(now, self._tx_free[src])
+        spec = self.spec
+        serialize = nbytes / spec.bandwidth
+        tx_free = self._tx_free[src]
+        inject_at = tx_free if tx_free > now else now
         inject_done = inject_at + serialize
         self._tx_free[src] = inject_done
         if inject_done > self._ckpt_tx_until[src]:
             self._ckpt_tx_until[src] = inject_done
         if port is not None:
-            first_byte = (inject_at + self.spec.latency
-                          + self.spec.per_hop_latency * max(0, port.hops - 1))
-            start_rx = max(first_byte, port.rx_free)
-            arrival = start_rx + serialize
+            first_byte = inject_at + spec.latency
+            rx_free = port.rx_free
+            arrival = (rx_free if rx_free > first_byte
+                       else first_byte) + serialize
             port.rx_free = arrival
             port.bytes_received += nbytes
             port.frames += 1
             port.busy_time += serialize
             target = port.name
         else:
-            self._check_node(dst)
-            hops = self.topology.hops(src, dst)
-            first_byte = (inject_at + self.spec.latency
-                          + self.spec.per_hop_latency * max(0, hops - 1))
-            start_rx = max(first_byte, self._rx_free[dst])
-            arrival = start_rx + serialize
+            # same float order as ``_route``: latency, then the hop term
+            first_byte = (inject_at + spec.latency + spec.per_hop_latency
+                          * max(0, self.topology.hops(src, dst) - 1))
+            rx_free = self._rx_free[dst]
+            arrival = (rx_free if rx_free > first_byte
+                       else first_byte) + serialize
             self._rx_free[dst] = arrival
             if arrival > self._ckpt_rx_until[dst]:
                 self._ckpt_rx_until[dst] = arrival

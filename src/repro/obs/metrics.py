@@ -33,6 +33,7 @@ import math
 from pathlib import Path
 from typing import Union
 
+from repro.atomic import atomic_write
 from repro.errors import ObservabilityError
 
 
@@ -339,10 +340,10 @@ class MetricsRegistry:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         if path.suffix == ".txt":
-            path.write_text(self.render_text() + "\n")
+            atomic_write(path, self.render_text() + "\n")
         else:
-            path.write_text(json.dumps(self.snapshot(), indent=2,
-                                       sort_keys=True) + "\n")
+            atomic_write(path, json.dumps(self.snapshot(), indent=2,
+                                          sort_keys=True) + "\n")
         return path
 
     def all_series(self) -> list[WindowedSeries]:
@@ -365,7 +366,7 @@ class MetricsRegistry:
             for win in series.windows():
                 win = {"series": series.name, "window": series.window, **win}
                 lines.append(json.dumps(win, sort_keys=True))
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+        atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.atomic import atomic_write
 from repro.errors import ObservabilityError
 
 #: the artifact schema tag ``repro obs top`` / ``obs diff`` key off
@@ -302,7 +303,7 @@ class EngineProfiler:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         prof = self.profile()
-        path.write_text(json.dumps(prof, indent=2) + "\n")
+        atomic_write(path, json.dumps(prof, indent=2) + "\n")
         return prof
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from repro.atomic import atomic_write
 from repro.errors import ObservabilityError
 
 #: categories recorded by default (everything but the per-event firehose)
@@ -174,14 +175,13 @@ class Tracer:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         if path.suffix == ".jsonl":
-            with path.open("w") as fh:
-                for ev in self._metadata_events():
-                    fh.write(json.dumps(ev, sort_keys=True) + "\n")
-                for ev in self.events:
-                    fh.write(json.dumps(ev, sort_keys=True) + "\n")
+            atomic_write(path, (
+                json.dumps(ev, sort_keys=True) + "\n"
+                for evs in (self._metadata_events(), self.events)
+                for ev in evs))
         else:
-            path.write_text(json.dumps(self.to_chrome(), sort_keys=True,
-                                       indent=1) + "\n")
+            atomic_write(path, json.dumps(self.to_chrome(), sort_keys=True,
+                                          indent=1) + "\n")
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 from repro.apps import PAPER_APPS, paper_spec
 from repro.apps.validation import summarize, validate_all
+from repro.atomic import atomic_write
 from repro.cluster.experiment import (
     ExperimentResult,
     paper_config,
@@ -94,7 +95,7 @@ def generate_report(out_dir: Union[str, Path], *, nranks: int = 2,
            ascii_series(log1.received_mb(),
                         label="(b) data received per timeslice, MB"),
            "```", ""]
-    (out / "fig1.tsv").write_text(tsv_series({
+    atomic_write(out / "fig1.tsv", tsv_series({
         "t_end": log1.times(), "iws_mb": log1.iws_mb(),
         "received_mb": log1.received_mb(),
         "footprint_mb": log1.footprint_mb()}))
@@ -114,7 +115,7 @@ def generate_report(out_dir: Union[str, Path], *, nranks: int = 2,
             f"{v:.1f}" for v in avg_series) + " MB/s over " + ", ".join(
             f"{t:.0f}s" for t in timeslices))
     md.append("")
-    (out / "fig2.tsv").write_text(tsv_series(fig2_cols))
+    atomic_write(out / "fig2.tsv", tsv_series(fig2_cols))
 
     # -- Figs 3 and 4 -----------------------------------------------------------------
     md += ["## Figs 3-4: Sage problem sizes", "",
@@ -136,7 +137,7 @@ def generate_report(out_dir: Union[str, Path], *, nranks: int = 2,
             cells.append(f"{stats.avg_mbps:.1f} ({ratio:.1%})")
         md.append(f"| {ts:.0f}s | " + " | ".join(cells) + " | |")
     md.append("")
-    (out / "fig3_fig4.tsv").write_text(tsv_series(fig34_cols))
+    atomic_write(out / "fig3_fig4.tsv", tsv_series(fig34_cols))
 
     # -- Fig 5 -------------------------------------------------------------------------
     fig5_app = "sage-100MB"
@@ -149,7 +150,7 @@ def generate_report(out_dir: Union[str, Path], *, nranks: int = 2,
         fig5_cols["avg_ib"].append(stats.avg_mbps)
         md.append(f"- {n} processors: {stats.avg_mbps:.2f} MB/s per process")
     md.append("")
-    (out / "fig5.tsv").write_text(tsv_series(fig5_cols))
+    atomic_write(out / "fig5.tsv", tsv_series(fig5_cols))
 
     # -- section 6.3 ---------------------------------------------------------------------
     analyzer = FeasibilityAnalyzer()
@@ -173,5 +174,5 @@ def generate_report(out_dir: Union[str, Path], *, nranks: int = 2,
                summarize(validate_all(nranks=nranks)), "```", ""]
 
     report_path = out / "report.md"
-    report_path.write_text("\n".join(md))
+    atomic_write(report_path, "\n".join(md))
     return report_path

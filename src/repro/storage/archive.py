@@ -25,7 +25,6 @@ Format (all integers little-endian uint32 length prefixes)::
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import StorageError
 from repro.storage.integrity import piece_digest, verify_chain
 from repro.storage.store import CheckpointStore, StoredObject
@@ -146,7 +146,6 @@ def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
     ``path``, so a write that fails midway leaves any previous archive
     at ``path`` untouched instead of torn.
     """
-    path = Path(path)
     pieces = [obj for rank in range(store.nranks)
               for obj in store.pieces(rank)]
     header = {"nranks": store.nranks,
@@ -161,14 +160,7 @@ def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
                 "base_digest": obj.base_digest, "payload_len": len(blob)}
         parts.append(_frame(json.dumps(meta, sort_keys=True).encode()))
         parts.append(blob)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    try:
-        tmp.write_bytes(b"".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    return atomic_write(path, b"".join(parts))
 
 
 def load_store(path: Union[str, Path]) -> CheckpointStore:

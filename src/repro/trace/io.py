@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import ConfigurationError
 from repro.instrument.records import TimesliceRecord, TraceLog
 
@@ -46,7 +48,9 @@ def save_trace(log: TraceLog, path: Union[str, Path]) -> Path:
     for col in _COLUMNS:
         values = [getattr(r, col) for r in log.records]
         arrays[col] = np.asarray(values)
-    np.savez_compressed(npz_path, **arrays)
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    atomic_write(npz_path, buf.getvalue())
     meta = {
         "format_version": _FORMAT_VERSION,
         "rank": log.rank,
@@ -55,7 +59,7 @@ def save_trace(log: TraceLog, path: Union[str, Path]) -> Path:
         "app_name": log.app_name,
         "n_slices": len(log.records),
     }
-    meta_path.write_text(json.dumps(meta, indent=2))
+    atomic_write(meta_path, json.dumps(meta, indent=2))
     return npz_path
 
 

@@ -148,8 +148,6 @@ def test_spec_validation_rejects_nonsense():
     with pytest.raises(CheckpointError):
         TransportSpec(max_queue_bytes=-1)
     with pytest.raises(CheckpointError):
-        TransportSpec(port_hops=-1)
-    with pytest.raises(CheckpointError):
         normalize_spec(42)
     assert normalize_spec(None).mode == "estimate"
     assert normalize_spec("diskless").mode == "diskless"
@@ -363,3 +361,105 @@ def test_stop_mid_train_then_resume_matches_the_uninterrupted_run():
         assert seen[0][1].in_flight_bytes > 0
         runs.append((seen, durable, _state(engine, network, transport)))
     assert runs[0] == runs[1]
+
+
+# -- framed paths no golden reaches, pinned exactly ---------------------------------
+
+
+def _pinned_run(mode: str):
+    """``_traffic`` through 2-rank sinks no golden uses: striped arrays
+    (each 1 MiB frame deals four 256 KiB chunks) with a media failure
+    that fails piece 0 mid-train, or diskless buddies two hops away."""
+    import hashlib
+
+    from repro.storage import StorageArray
+
+    engine = Engine()
+    network = Network(engine, 2)
+    if mode == "network":
+        sinks = {r: StorageArray(engine, 2, stripe_unit=256 * KiB,
+                                 name=f"a{r}") for r in range(2)}
+        engine.schedule_at(0.0009, sinks[0].disks[1].fail_next_writes, 1)
+    else:
+        sinks = {r: DisklessSink(engine, name=f"buddy.r{r}")
+                 for r in range(2)}
+    transport = make_transport(TransportSpec(mode=mode), engine=engine,
+                               network=network, sinks=sinks, nranks=2)
+    durable, keys = [], []
+    # the key of every dispatched engine event: a stream entry drawing
+    # its seq out of order moves the key of the pump armed at it
+    engine.add_event_hook(lambda ev: keys.append((ev.time, ev.seq)))
+    _traffic(engine, network, transport, durable)
+    engine.run()
+    if mode == "network":
+        port = network.storage_ports[0]
+        fabric = (port.rx_free, port.bytes_received, port.frames,
+                  port.busy_time)
+        disks = [(d.ops, d.busy_time, d._free_at)
+                 for r in range(2) for d in sinks[r].disks]
+    else:
+        fabric = (network._rx_free, network._ckpt_rx_until)
+        disks = [(s.ops, s._free_at, s.bytes_held) for s in sinks.values()]
+    return {
+        "durable": repr(durable),
+        "snapshot": repr(transport.snapshot()),
+        "tx": repr((network._tx_free, network._ckpt_tx_until)),
+        "fabric": repr(fabric),
+        "disks": repr(disks),
+        "events": (len(keys),
+                   hashlib.sha256(repr(keys).encode()).hexdigest()),
+    }
+
+
+_PINNED = {
+    "network": {
+        "durable": "[(1, 1, 0.024148722222222224), (0, 0, None), "
+                   "(0, 2, 0.04418137601227231), "
+                   "(1, 3, 0.057036222222222224)]",
+        "snapshot": "TransportStats(mode='network', pieces=4, "
+                    "failed_pieces=1, frames=10, bytes_submitted=8912901, "
+                    "bytes_drained=8912901, in_flight_bytes=0, "
+                    "peak_queue_bytes=5242880, stalls=0, stall_time=0.0, "
+                    "busy_time=0.10052970573605433, "
+                    "achieved_bandwidth=88659376.19872537, "
+                    "contention_delay=0.011302914640638565, "
+                    "contended_messages=11, samples=[])",
+        "tx": "([0.005796274609035916, 0.007832942335340713], "
+              "[0.005796274609035916, 0.007832942335340713])",
+        "fabric": "(0.009445949742635093, 8912901, 10, "
+                  "0.009444449742635091)",
+        "disks": "[(8, 0.0430687649011612, 0.04418137601227231), "
+                 "(7, 0.03836875, 0.03948136111111111), "
+                 "(10, 0.0548125, 0.057036222222222224), "
+                 "(10, 0.0548125, 0.057036222222222224)]",
+        "events": (43, "843d0692efd1aff2a2ac901ddef14343"
+                       "d5d264a8c7f874d89ced8637922bdf7c"),
+    },
+    "diskless": {
+        "durable": "[(1, 1, 0.0037179905883789064), "
+                   "(0, 0, 0.005242421381786797), "
+                   "(0, 2, 0.006042115234035916), "
+                   "(1, 3, 0.008322923585340713)]",
+        "snapshot": "TransportStats(mode='diskless', pieces=4, "
+                    "failed_pieces=0, frames=10, bytes_submitted=8912901, "
+                    "bytes_drained=8912901, in_flight_bytes=0, "
+                    "peak_queue_bytes=5242880, stalls=0, stall_time=0.0, "
+                    "busy_time=0.013531331977674699, "
+                    "achieved_bandwidth=658686152.6053287, "
+                    "contention_delay=0.011302914640638565, "
+                    "contended_messages=14, samples=[])",
+        "tx": "([0.005796274609035916, 0.007832942335340713], "
+              "[0.005796274609035916, 0.007832942335340713])",
+        "fabric": "([0.007834642335340713, 0.005797974609035916], "
+                  "[0.007834642335340713, 0.005797974609035916])",
+        "disks": "[(5, 0.006042115234035916, 3670021), "
+                 "(5, 0.008322923585340713, 5242880)]",
+        "events": (41, "ba9974b3132433d3da5eb3f350d49def"
+                       "710cb68eff7c2304ee98d8ab92ba8ce3"),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["network", "diskless"])
+def test_framed_paths_without_a_golden_are_pinned(mode):
+    assert _pinned_run(mode) == _PINNED[mode]
