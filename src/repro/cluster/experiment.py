@@ -173,8 +173,7 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig,
-                   obs=None, *, coalesce_timers: bool = True,
-                   coalesce_events: bool = True) -> ExperimentResult:
+                   obs=None) -> ExperimentResult:
     """Run one instrumented experiment on the simulated cluster.
 
     ``obs`` (a :class:`repro.obs.Observability`) threads a tracer,
@@ -182,15 +181,12 @@ def run_experiment(config: ExperimentConfig,
     component hanging off it; ``None`` (the default) is the zero-cost
     disabled path.
 
-    ``coalesce_timers=False`` selects the seed per-timer engine path
-    instead of the coalesced :class:`~repro.sim.timers.TimerHub` (the
-    differential suite compares the two).  ``coalesce_events=False``
-    likewise selects the seed one-event-per-wake/per-delivery engine
-    path instead of the coalesced batches
-    (:meth:`~repro.sim.Engine.schedule_coalesced`)."""
-    engine = Engine(obs=obs, coalesce_timers=coalesce_timers,
-                    coalesce_wakes=coalesce_events,
-                    coalesce_deliveries=coalesce_events)
+    The engine batches same-instant work: co-phased timer expiries
+    through its :class:`~repro.sim.timers.TimerHub`, wake-ups and
+    deliveries through :meth:`~repro.sim.Engine.schedule_coalesced`.
+    The differential tests swap in the per-item reference engine of
+    ``tests/sim/reference.py`` and require the same simulation."""
+    engine = Engine(obs=obs)
     layout = Layout(page_size=config.page_size)
     run_duration = (config.run_duration
                     if config.run_duration is not None

@@ -144,9 +144,9 @@ class RankComm:
         """Eager fan-out: one ``nbytes`` message to each destination, in
         order, through the network's batched injection path.
 
-        Timing and accounting are identical to calling :meth:`send` once
-        per destination; the engine sees one delivery event per distinct
-        arrival time instead of one per message.
+        Timing, accounting and delivery order are identical to calling
+        :meth:`send` once per destination; the batch only shares the
+        network's obs lookup (:meth:`repro.net.Network.send_many`).
         """
         if tag < 0:
             raise MPIError(f"application tags must be non-negative, got {tag}")

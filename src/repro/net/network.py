@@ -19,7 +19,7 @@ bulk-synchronous codes whose communication happens in sparse bursts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import NetworkError
 from repro.net.message import Message
@@ -76,7 +76,7 @@ class Network:
         self._rx_free: list[float] = [0.0] * nnodes
         #: delivery callbacks per destination node
         self._sinks: list[Optional[Callable[[Message], None]]] = [None] * nnodes
-        #: the one bound-method object every coalesced delivery shares --
+        #: the one bound-method object every delivery shares --
         #: Engine.schedule_coalesced compares callables by identity, and
         #: ``self._deliver`` would mint a fresh bound method per access
         self._deliver_one = self._deliver
@@ -85,9 +85,7 @@ class Network:
         self.bytes_delivered = 0
         #: cached (obs, counters, tracer-or-None, track names) for sends
         self._obs_cache = None
-        # -- checkpoint-transport accounting (all dormant until the
-        # -- first storage_send keeps the app-message hot path free) --
-        self._ckpt_active = False
+        # -- checkpoint-transport accounting --
         #: per-node time up to which checkpoint frames occupy tx/rx
         self._ckpt_tx_until: list[float] = [0.0] * nnodes
         self._ckpt_rx_until: list[float] = [0.0] * nnodes
@@ -109,37 +107,15 @@ class Network:
         """Advance the link-occupation clocks for ``msg`` and stamp its
         send/arrival times; returns the arrival time.
 
-        This is the plain hot path -- identical cost to a network with
-        no checkpoint transport.  The first checkpoint frame on the
-        fabric (:meth:`storage_send`) swaps in
-        :meth:`_route_contended`, which additionally attributes link
-        waits that overlap checkpoint-frame occupancy."""
+        A wait on a link is attributed to checkpoint frames where it
+        overlaps their occupancy (:meth:`_note_contention`).  Before the
+        first frame (:meth:`storage_send`) the frame clocks are all 0.0,
+        so no wait is attributed and a network without a checkpoint
+        transport counts nothing."""
         msg.send_time = now
         if msg.src == msg.dst:
             # loopback: no wire, just a copy at memory speed (the
             # bandwidth term only); copies still serialize at the node
-            start = max(now, self._tx_free[msg.src])
-            arrival = start + msg.size / self.spec.bandwidth
-            self._tx_free[msg.src] = arrival
-        else:
-            serialize = msg.size / self.spec.bandwidth
-            inject_at = max(now, self._tx_free[msg.src])
-            self._tx_free[msg.src] = inject_at + serialize
-            hops = self.topology.hops(msg.src, msg.dst)
-            first_byte = (inject_at + self.spec.latency
-                          + self.spec.per_hop_latency * max(0, hops - 1))
-            start_rx = max(first_byte, self._rx_free[msg.dst])
-            arrival = start_rx + serialize
-            self._rx_free[msg.dst] = arrival
-        msg.arrival_time = arrival
-        return arrival
-
-    def _route_contended(self, msg: Message, now: float) -> float:
-        """:meth:`_route` plus contention attribution: the timing math
-        is identical (checkpoint frames already advanced the link
-        clocks), only the accounting differs."""
-        msg.send_time = now
-        if msg.src == msg.dst:
             start = max(now, self._tx_free[msg.src])
             if start > now:
                 self._note_contention(msg.src, now, start,
@@ -206,48 +182,39 @@ class Network:
                 tracer.complete("net.send", "net", now, arrival - now,
                                 track=tx_tracks[msg.src], dst=msg.dst,
                                 size=msg.size, tag=msg.tag)
-        if self.engine.coalesce_deliveries:
-            # same-arrival deliveries -- across senders, not just within
-            # one batch -- share a single engine event, drained in send
-            # order (the order separate events would have fired in)
-            self.engine.schedule_coalesced(arrival, self._deliver_one, msg)
-        else:
-            self.engine.schedule_at(arrival, self._deliver, msg)
+        # same-arrival deliveries -- across senders, not just within
+        # one batch -- share a single engine event, drained in send
+        # order (the order separate events would have fired in)
+        self.engine.schedule_coalesced(arrival, self._deliver_one, msg)
         return arrival
 
     def send_many(self, msgs: list[Message]) -> list[float]:
         """Inject a batch (one sender's collective fan-out); returns the
         arrival times.
 
-        Timing, byte accounting, and obs events are exactly what
-        :meth:`send` called once per message would produce -- the batch
-        shares one pass over the link clocks and one obs lookup, and
-        schedules one delivery event per *distinct arrival time* instead
-        of one per message, so equal-arrival messages (loopback copies,
-        zero-byte control traffic, incast-serialized streams) coalesce.
-        Distinct arrival times keep distinct events: delivery must fire
-        at each message's own timestamp for the simulated timeline to be
-        bit-identical to the unbatched path.
+        Timing, byte accounting, obs events and deliveries are exactly
+        what :meth:`send` called once per message would produce -- the
+        batch shares one obs lookup, and each delivery joins the
+        engine's same-arrival batch the way :meth:`send`'s does.  Every
+        node is checked before the first message routes, so a rejected
+        batch leaves the link clocks and the event queue untouched.
         """
         if not msgs:
             return []
         if len(msgs) == 1:
-            # single-message batch: the plain send path, no group
-            # structures allocated
             return [self.send(msgs[0])]
+        check = self._check_node
+        for msg in msgs:
+            check(msg.src)
+            check(msg.dst)
         now = self.engine.now
         obs = self.engine.obs
         if obs.enabled:
             _, ctr_msgs, ctr_bytes, tracer, tx_tracks = self._send_obs(obs)
-        coalesce = self.engine.coalesce_deliveries
-        if coalesce:
-            schedule_coalesced = self.engine.schedule_coalesced
-            deliver_one = self._deliver_one
+        schedule_coalesced = self.engine.schedule_coalesced
+        deliver_one = self._deliver_one
         arrivals: list[float] = []
-        groups: dict[float, Any] = {}
         for msg in msgs:
-            self._check_node(msg.src)
-            self._check_node(msg.dst)
             arrival = self._route(msg, now)
             if obs.enabled:
                 ctr_msgs.inc()
@@ -257,32 +224,7 @@ class Network:
                                     track=tx_tracks[msg.src], dst=msg.dst,
                                     size=msg.size, tag=msg.tag)
             arrivals.append(arrival)
-            if coalesce:
-                # the engine's open-batch bookkeeping does the distinct-
-                # arrival grouping -- and extends it across send_many
-                # calls from other ranks at the same instant
-                schedule_coalesced(arrival, deliver_one, msg)
-                continue
-            grp = groups.get(arrival)
-            if grp is None:
-                groups[arrival] = msg
-            elif type(grp) is list:
-                grp.append(msg)
-            else:
-                groups[arrival] = [grp, msg]
-        if coalesce:
-            return arrivals
-        schedule_at = self.engine.schedule_at
-        # group events are created here, in first-arrival-seen order, so
-        # their insertion sequence is a monotone renumbering of the
-        # per-message events' -- every same-time tie (inside a group, or
-        # against events scheduled before/after this batch) breaks the
-        # same way the unbatched path broke it
-        for arrival, grp in groups.items():
-            if type(grp) is list:
-                schedule_at(arrival, self._deliver_batch, grp)
-            else:
-                schedule_at(arrival, self._deliver, grp)
+            schedule_coalesced(arrival, deliver_one, msg)
         return arrivals
 
     # -- checkpoint transport ----------------------------------------------------
@@ -329,11 +271,6 @@ class Network:
             raise NetworkError(f"node {dst} outside network of {nnodes}")
         if nbytes < 0:
             raise NetworkError(f"negative frame size {nbytes}")
-        if not self._ckpt_active:
-            # first frame on the fabric: swap in the accounting route so
-            # the no-checkpoint hot path stays exactly the seed code
-            self._ckpt_active = True
-            self._route = self._route_contended
         now = self.engine.now
         spec = self.spec
         serialize = nbytes / spec.bandwidth
@@ -384,13 +321,6 @@ class Network:
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
         sink(msg)
-
-    def _deliver_batch(self, msgs: list[Message]) -> None:
-        """Deliver same-arrival-time messages in submission order (the
-        order their individual events would have fired in)."""
-        deliver = self._deliver
-        for msg in msgs:
-            deliver(msg)
 
     def detach(self, node: int) -> None:
         """Remove a node's NIC (failure injection): in-flight messages to

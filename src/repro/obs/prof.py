@@ -49,20 +49,17 @@ PROFILE_SCHEMA = "repro.obs.profile/1"
 
 #: function qualname -> (subsystem, event kind, rank-extraction mode).
 #: Modes: "self_name" parses ``...r<N>`` off the bound object's name,
-#: "arg0_rank" reads an integer first argument, "msg_dst" /
-#: "batch_dst" read a Message destination, "item_proc" reads a
-#: (process, value) wake item, "run_batch" re-classifies a coalesced
-#: Engine._run_batch event by its inner callable (so batched deliveries
-#: and resumes land in the same categories their per-item events used),
-#: None means unranked.
+#: "arg0_rank" reads an integer first argument, "msg_dst" reads a
+#: Message destination, "item_proc" reads a (process, value) wake item,
+#: "run_batch" re-classifies a coalesced Engine._run_batch event by its
+#: inner callable (so batched deliveries and resumes land in the same
+#: categories their per-item events would), None means unranked.
 _QUALNAME_KINDS = {
     "SimProcess._resume": ("sim", "process.resume", "self_name"),
     "_dispatch_resume": ("sim", "process.resume", "item_proc"),
     "Engine._run_batch": ("sim", "batch.dispatch", "run_batch"),
     "TimerHub._fire_group": ("sim", "timer.epoch", None),
-    "IntervalTimer._fire": ("sim", "timer.expiry", None),
     "Network._deliver": ("net", "message.delivery", "msg_dst"),
-    "Network._deliver_batch": ("net", "message.delivery", "batch_dst"),
     "RankComm._complete.<locals>.finish": ("mpi", "message.copy", None),
     "FaultInjector._deliver": ("faults", "fault.delivery", None),
     "_FramedTransport._pump": ("checkpoint", "transport.frame", None),
@@ -197,18 +194,14 @@ class EngineProfiler:
                 args = ev.args
                 if args:
                     rank = getattr(args[0], "dst", None)
-            elif mode == "batch_dst":
-                args = ev.args
-                if args and args[0]:
-                    rank = getattr(args[0][0], "dst", None)
             elif mode == "item_proc":
                 args = ev.args
                 if args and args[0]:
                     rank = _rank_from_name(args[0][0].name)
             elif mode == "run_batch":
                 # a coalesced batch: attribute to the *inner* callable's
-                # category (message.delivery, process.resume, ...) so the
-                # batched and unbatched paths profile under one name
+                # category (message.delivery, process.resume, ...) so a
+                # batch profiles under its per-item event's name
                 inner_fn, items = ev.args
                 ifunc = getattr(inner_fn, "__func__", inner_fn)
                 ientry = self._fn_cache.get(id(ifunc))

@@ -61,21 +61,6 @@ _UNBOUNDED = (_INF, _INF, _INF)
 #: Compact the heap only past this size (tiny heaps are not worth it).
 _COMPACT_MIN: int = 64
 
-#: Default for :class:`Engine`'s ``coalesce_timers``: co-phased interval
-#: timers share one queued event per epoch (see
-#: :class:`repro.sim.timers.TimerHub`).  The per-timer seed path remains
-#: available with ``Engine(coalesce_timers=False)`` and is held to the
-#: same event stream by the differential suite.
-COALESCE_TIMERS_DEFAULT: bool = True
-
-#: Default for :class:`Engine`'s ``coalesce_wakes`` / ``coalesce_deliveries``:
-#: same-instant future wake-ups (resp. same-arrival message deliveries) share
-#: one queued event drained in submission order by
-#: :meth:`Engine.schedule_coalesced`.  The per-item seed path remains
-#: available with ``Engine(coalesce_wakes=False, coalesce_deliveries=False)``
-#: and is held to the same simulation by the differential suite.
-COALESCE_EVENTS_DEFAULT: bool = True
-
 
 class Event:
     """A scheduled callback.
@@ -135,28 +120,11 @@ class Engine:
     events.
     """
 
-    def __init__(self, start_time: float = 0.0, obs=None,
-                 coalesce_timers: Optional[bool] = None,
-                 coalesce_wakes: Optional[bool] = None,
-                 coalesce_deliveries: Optional[bool] = None):
+    def __init__(self, start_time: float = 0.0, obs=None):
         self._now = float(start_time)
-        #: when True, :class:`~repro.sim.timers.IntervalTimer` expiries
-        #: are batched through a :class:`~repro.sim.timers.TimerHub`
-        #: (one queued event per co-phased timer group per epoch)
-        self.coalesce_timers = (COALESCE_TIMERS_DEFAULT
-                                if coalesce_timers is None
-                                else bool(coalesce_timers))
-        #: lazily created by the first coalesced IntervalTimer
+        #: the :class:`~repro.sim.timers.TimerHub` batching interval-timer
+        #: expiries; created lazily by the first IntervalTimer
         self.timer_hub = None
-        #: when True, same-instant future wake-ups (``coalesce_wakes``) and
-        #: same-arrival message deliveries (``coalesce_deliveries``) are
-        #: drained through one queued event each (schedule_coalesced)
-        self.coalesce_wakes = (COALESCE_EVENTS_DEFAULT
-                               if coalesce_wakes is None
-                               else bool(coalesce_wakes))
-        self.coalesce_deliveries = (COALESCE_EVENTS_DEFAULT
-                                    if coalesce_deliveries is None
-                                    else bool(coalesce_deliveries))
         #: open coalesced batches: time -> (fn, priority, items, Event).
         #: Conservatively closed by ANY schedule_at at the same time, so a
         #: later join can never leapfrog an interleaved event (see

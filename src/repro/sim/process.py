@@ -175,21 +175,16 @@ class SimProcess:
         if self.state is ProcessState.BLOCKED:
             # Wake at the current instant but via the queue, preserving
             # deterministic ordering with other same-instant events.
+            # Same-instant wakes (a batch delivery releasing many ranks)
+            # share one dispatch event, drained in resolution order --
+            # the order per-process events would have fired in.  The
+            # shared event is deliberately NOT stored in _wakeup: kill()
+            # must not cancel other processes' wakes, and _resume's state
+            # guard already makes a stale wake for this process a no-op.
             engine = self.engine
-            if engine.coalesce_wakes:
-                # Same-instant wakes (a batch delivery releasing many
-                # ranks) share one dispatch event, drained in resolution
-                # order -- the order their per-process events would have
-                # fired in.  The shared event is deliberately NOT stored
-                # in _wakeup: kill() must not cancel other processes'
-                # wakes, and _resume's state guard already makes a stale
-                # wake for this process a no-op.
-                engine.schedule_coalesced(
-                    engine.now, _dispatch_resume, (self, value),
-                    priority=PRIORITY_NORMAL)
-            else:
-                self._wakeup = engine.schedule(
-                    0.0, self._resume, value, priority=PRIORITY_NORMAL)
+            engine.schedule_coalesced(
+                engine.now, _dispatch_resume, (self, value),
+                priority=PRIORITY_NORMAL)
 
     def _finish(self, state: ProcessState, result: Any) -> None:
         self.state = state

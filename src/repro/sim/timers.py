@@ -6,14 +6,13 @@ re-protects the data memory.  :class:`IntervalTimer` reproduces that: a
 periodic callback with a queryable *next expiry time*, which the
 alarm-sliced compute phases use to stop exactly at timeslice boundaries.
 
-At scale the per-rank expiries dominate the event queue: 1024 ranks at a
-1 s timeslice contribute 1024 heap pushes + pops + dispatches per epoch,
-all at the same instant and priority.  :class:`TimerHub` coalesces them:
-timers sharing an ``(interval, next expiry)`` group are swept by **one**
-queued engine event per epoch, in enrollment order -- which equals the
-per-timer path's sequence order, so the simulation is bit-identical
-(asserted by the differential suite in
-``tests/instrument/test_coalesced_differential.py``).
+At scale, per-rank expiries would dominate the event queue, so every
+timer enrolls in its engine's :class:`TimerHub`: timers sharing an
+``(interval, next expiry)`` group are swept by **one** queued engine
+event per epoch, in enrollment order -- the order one event per expiry
+would fire in.  That per-timer reference lives in
+``tests/sim/reference.py``, and
+``tests/instrument/test_coalesced_differential.py`` holds the hub to it.
 """
 
 from __future__ import annotations
@@ -30,17 +29,17 @@ class TimerHub:
     Timers are grouped by ``(interval, next_expiry)``.  A group owns one
     queued engine event; firing it sweeps the members in enrollment
     order, advancing and re-enrolling each *before* its handler runs --
-    the exact operation order of the per-timer path, so sequence-number
+    the exact operation order of one event per timer, so sequence-number
     ties resolve identically and the event stream is unchanged.
 
     Ordering note: members of one group re-arm contiguously, so a
-    group's next event takes the sequence slot the per-timer path would
+    group's next event takes the sequence slot a per-timer event would
     have given its first member.  Timer populations whose arms
     *interleave* across different ``(interval, phase)`` groups would be
     swept group-by-group rather than in global arm order; no such
     population exists in this codebase (every tracker of a run shares
-    the one checkpoint timeslice), and each path is individually
-    deterministic either way.
+    the one checkpoint timeslice), and the sweep is deterministic either
+    way.
     """
 
     __slots__ = ("engine", "_groups", "epochs", "expiries_swept",
@@ -98,8 +97,8 @@ class TimerHub:
             index = timer.expiries
             timer.expiries += 1
             timer._next_time += timer.interval
-            self._enroll(timer)             # re-arm before handler, as the
-            timer.handler(index)            # per-timer path does
+            self._enroll(timer)             # re-arm before the handler,
+            timer.handler(index)            # as a per-timer event would
         group.members = ()
         group.live = 0
 
@@ -130,9 +129,9 @@ class IntervalTimer:
     paper's requirement that the alarm samples the dirty pages written
     *before* the boundary.
 
-    When the engine has ``coalesce_timers`` set (the default), expiries
-    are delivered through the engine's shared :class:`TimerHub` instead
-    of a per-timer queued event; behaviour and ordering are identical.
+    Expiries are delivered through the engine's shared
+    :class:`TimerHub` (created by the engine's first timer), which
+    fires them exactly where one queued event per expiry would.
     """
 
     def __init__(self, engine: Engine, interval: float,
@@ -146,35 +145,16 @@ class IntervalTimer:
         self.name = name
         self.expiries = 0
         self._armed = False
-        self._event: Optional[Event] = None
         self._group: Optional[_TimerGroup] = None
-        if engine.coalesce_timers:
-            hub = engine.timer_hub
-            if hub is None:
-                hub = engine.timer_hub = TimerHub(engine)
-            self._hub: Optional[TimerHub] = hub
-        else:
-            self._hub = None
+        if engine.timer_hub is None:
+            engine.timer_hub = TimerHub(engine)
         self._next_time = engine.now + (self.interval if start_after is None
                                         else float(start_after))
         self._arm()
 
     def _arm(self) -> None:
         self._armed = True
-        if self._hub is not None:
-            self._hub._enroll(self)
-        else:
-            self._event = self.engine.schedule_at(
-                self._next_time, self._fire, priority=PRIORITY_TIMER)
-
-    def _fire(self) -> None:
-        if not self._armed:
-            return
-        index = self.expiries
-        self.expiries += 1
-        self._next_time += self.interval
-        self._arm()
-        self.handler(index)
+        self.engine.timer_hub._enroll(self)
 
     @property
     def armed(self) -> bool:
@@ -187,11 +167,7 @@ class IntervalTimer:
     def cancel(self) -> None:
         """Disarm the timer; pending expiry is dropped."""
         self._armed = False
-        if self._hub is not None:
-            self._hub._withdraw(self)
-        elif self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self.engine.timer_hub._withdraw(self)
 
     def reset(self, interval: Optional[float] = None) -> None:
         """Re-arm the timer, optionally with a new interval, starting now."""

@@ -4,7 +4,7 @@ while coalescing equal-arrival deliveries into one engine event."""
 
 import pytest
 
-from repro.errors import MPIError, RankError
+from repro.errors import MPIError, NetworkError, RankError
 from repro.mpi import MPIJob
 from repro.net import Message, Network
 from repro.obs import MetricsRegistry, Observability, Tracer
@@ -86,8 +86,8 @@ def test_send_many_empty_batch_is_noop():
 
 
 def test_send_many_single_message_short_circuits_to_send():
-    """A one-element batch takes the plain ``send`` path -- no grouping
-    structures -- and is indistinguishable from calling ``send``."""
+    """A one-element batch takes the plain ``send`` path and is
+    indistinguishable from calling ``send``."""
     eng1, net1, d1 = collect_network()
     m1 = Message(src=0, dst=2, size=2048, tag=7)
     batched = net1.send_many([m1])
@@ -103,6 +103,23 @@ def test_send_many_single_message_short_circuits_to_send():
     eng2.run()
     assert d1 == [(2, m1.mid)]
     assert d2 == [(2, m2.mid)]
+
+
+def test_send_many_rejects_a_bad_batch_before_routing_any_of_it():
+    """A batch with an out-of-range node raises like ``send`` does and,
+    like ``send``, leaves nothing behind: no link clock advanced and no
+    delivery queued for the valid messages ahead of the bad one."""
+    eng, net, delivered = collect_network(nnodes=2)
+    tx, rx = list(net._tx_free), list(net._rx_free)
+    pending = eng.pending_events()
+    with pytest.raises(NetworkError):
+        net.send_many([Message(src=0, dst=1, size=1 << 20, tag=0),
+                       Message(src=0, dst=5, size=1, tag=0)])
+    assert net._tx_free == tx
+    assert net._rx_free == rx
+    assert eng.pending_events() == pending
+    eng.run()
+    assert delivered == []
 
 
 def test_comm_send_many_accounting_and_validation():

@@ -1,6 +1,7 @@
 """Batched same-instant dispatch: ``Engine.schedule_coalesced``
 semantics, the wake/delivery batching differential against the
-per-event seed path, and hypothesis interleavings.
+per-item reference engine (``tests/sim/reference.py``), and hypothesis
+interleavings.
 
 The contract mirrors the TimerHub's: batching same-sim-time work into
 one engine event may never change the simulation -- same delivery
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.experiment import paper_config, run_experiment
 from repro.net import Message, Network
-from repro.obs import Observability, Tracer
+from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.sim import Engine, Future, SimProcess, PRIORITY_LATE
+from tests.sim.reference import PerItemEngine, run_reference
 
 
 # -- schedule_coalesced unit semantics ----------------------------------------
@@ -109,10 +111,10 @@ def test_batch_fired_from_inside_a_batch_opens_a_fresh_event():
 def test_delivery_order_identical_with_and_without_batching(sends):
     """Random (send-time, dst, size) interleavings: the coalesced
     delivery path produces the exact delivered sequence -- virtual
-    times included -- of the per-message seed path."""
+    times included -- of one event per message."""
 
-    def run(coalesce):
-        eng = Engine(coalesce_deliveries=coalesce)
+    def run(engine_cls):
+        eng = engine_cls()
         net = Network(eng, nnodes=4)
         log = []
         for node in range(4):
@@ -126,7 +128,7 @@ def test_delivery_order_identical_with_and_without_batching(sends):
         eng.run()
         return log
 
-    assert run(coalesce=True) == run(coalesce=False)
+    assert run(Engine) == run(PerItemEngine)
 
 
 @given(st.data())
@@ -145,8 +147,8 @@ def test_wake_order_identical_with_and_without_batching(data):
     times = [data.draw(st.sampled_from([0.0, 1.0, 1.0, 2.0]),
                        label=f"t{f}") for f in range(nfuts)]
 
-    def run(coalesce):
-        eng = Engine(coalesce_wakes=coalesce)
+    def run(engine_cls):
+        eng = engine_cls()
         futs = [Future(eng, label=f"f{i}") for i in range(nfuts)]
         log = []
 
@@ -162,29 +164,45 @@ def test_wake_order_identical_with_and_without_batching(data):
         eng.run()
         return log
 
-    assert run(coalesce=True) == run(coalesce=False)
+    assert run(Engine) == run(PerItemEngine)
 
 
-# -- differential: full workloads, batched vs seed dispatch -------------------
+# -- differential: full workloads, batched vs per-item dispatch ---------------
 
 @pytest.mark.parametrize("name", ["sage-50MB", "sweep3d"])
-def test_experiment_streams_identical_across_dispatch_paths(name):
+def test_experiment_streams_identical_across_dispatch_paths(name,
+                                                            monkeypatch):
     cfg = paper_config(name, nranks=8, timeslice=1.0, run_duration=10.0)
-    new = run_experiment(cfg, coalesce_events=True)
-    seed = run_experiment(cfg, coalesce_events=False)
-    assert new.final_time == seed.final_time
-    assert new.iterations == seed.iterations
-    assert new.iteration_starts == seed.iteration_starts
+    new = run_experiment(cfg)
+    ref = run_reference(monkeypatch, cfg)
+    assert new.final_time == ref.final_time
+    assert new.iterations == ref.iterations
+    assert new.iteration_starts == ref.iteration_starts
     for rank in range(8):
-        assert new.logs[rank].records == seed.logs[rank].records
+        assert new.logs[rank].records == ref.logs[rank].records
 
 
-def test_traced_streams_identical_across_dispatch_paths():
-    streams = []
-    for coalesce in (True, False):
-        cfg = paper_config("sage-50MB", nranks=8, timeslice=1.0,
-                           run_duration=12.0, ckpt_transport="estimate")
-        obs = Observability(tracer=Tracer(wall_clock=None))
-        run_experiment(cfg, obs=obs, coalesce_events=coalesce)
-        streams.append(obs.tracer.events)
-    assert streams[0] == streams[1]
+def test_traced_streams_identical_across_dispatch_paths(monkeypatch):
+    cfg = paper_config("sage-50MB", nranks=8, timeslice=1.0,
+                       run_duration=12.0, ckpt_transport="estimate")
+    new_obs = Observability(tracer=Tracer(wall_clock=None))
+    ref_obs = Observability(tracer=Tracer(wall_clock=None))
+    run_experiment(cfg, obs=new_obs)
+    run_reference(monkeypatch, cfg, obs=ref_obs)
+    assert new_obs.tracer.events == ref_obs.tracer.events
+
+
+def test_reference_engine_dispatches_per_item(monkeypatch):
+    """The reference really is per-item: same records, strictly more
+    engine events.  Without this guard a refactor could leave the
+    differentials above comparing the batched path with itself."""
+    cfg = paper_config("sweep3d", nranks=8, timeslice=1.0, run_duration=10.0)
+    new_obs = Observability(metrics=MetricsRegistry())
+    ref_obs = Observability(metrics=MetricsRegistry())
+    new = run_experiment(cfg, obs=new_obs)
+    ref = run_reference(monkeypatch, cfg, obs=ref_obs)
+    for rank in range(8):
+        assert new.logs[rank].records == ref.logs[rank].records
+    batched = new_obs.metrics.gauge("sim.engine.dispatched").value
+    per_item = ref_obs.metrics.gauge("sim.engine.dispatched").value
+    assert per_item > batched > 0

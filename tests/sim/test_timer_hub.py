@@ -3,13 +3,18 @@
 The hub replaces one queued engine event per timer expiry with one per
 ``(interval, phase)`` group per epoch; these tests pin the grouping,
 the enrollment-order sweep, mid-epoch cancellation/reset semantics, and
-the epoch-listener seam against the per-timer path.
+the epoch-listener seam against the per-timer reference
+(:class:`tests.sim.reference.ReferenceEngine`, one event per expiry).
 """
 
 import pytest
 
 from repro.sim import Engine, IntervalTimer
 from repro.sim.timers import TimerHub
+from tests.sim.reference import PerTimerHub, ReferenceEngine
+
+#: the batched engine and the per-timer reference, keyed for reporting
+ENGINES = {"hub": Engine, "per-timer": ReferenceEngine}
 
 
 def _record(log, name):
@@ -17,7 +22,7 @@ def _record(log, name):
 
 
 def test_cophased_timers_share_one_engine_event_per_epoch():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     log = []
     for n in range(8):
         IntervalTimer(eng, 1.0, _record(log, f"t{n}"))
@@ -33,19 +38,21 @@ def test_cophased_timers_share_one_engine_event_per_epoch():
 
 def test_sweep_order_matches_per_timer_path():
     runs = {}
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
+    for kind, engine_cls in ENGINES.items():
+        eng = engine_cls()
         log = []
         for n in range(5):
             IntervalTimer(eng, 2.0, lambda i, _n=n: log.append(
                 (eng.now, _n, i)))
         eng.run(until=9.0)
-        runs[coalesce] = log
-    assert runs[True] == runs[False]
+        runs[kind] = (log, eng.stats()["dispatched"])
+    assert runs["hub"][0] == runs["per-timer"][0]
+    # 4 epochs of 5 timers: one event per epoch against one per expiry
+    assert (runs["hub"][1], runs["per-timer"][1]) == (4, 20)
 
 
 def test_heterogeneous_intervals_and_phases_group_separately():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     log = []
     IntervalTimer(eng, 1.0, _record(log, "a"))
     IntervalTimer(eng, 1.0, _record(log, "b"), start_after=0.5)
@@ -53,7 +60,7 @@ def test_heterogeneous_intervals_and_phases_group_separately():
     eng.run(until=2.25)
     # at t=2.0 both a and c expire; c's group event was scheduled first
     # (at construction) so it wins the same-instant seq tie-break,
-    # exactly as the per-timer path would
+    # exactly as per-timer events would
     assert log == [("b", 0), ("a", 0), ("b", 1), ("c", 0), ("a", 1)]
     # a and c meet at t=2.0 but keep distinct (interval, phase) groups
     assert eng.timer_hub.stats()["max_group"] == 1
@@ -61,10 +68,10 @@ def test_heterogeneous_intervals_and_phases_group_separately():
 
 def test_cancel_mid_epoch_skips_co_grouped_member():
     """A handler cancelling a later member of its own group must
-    suppress that member's expiry this epoch -- exactly what the
-    per-timer path's armed check does."""
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
+    suppress that member's expiry this epoch, exactly as cancelling its
+    own per-timer event does."""
+    for kind, engine_cls in ENGINES.items():
+        eng = engine_cls()
         log = []
         timers = []
         def killer(i):
@@ -75,12 +82,12 @@ def test_cancel_mid_epoch_skips_co_grouped_member():
         timers.append(IntervalTimer(eng, 1.0, _record(log, "victim")))
         eng.run(until=3.5)
         assert log == [("killer", 0), ("victim", 0),
-                       ("killer", 1), ("killer", 2)], coalesce
+                       ("killer", 1), ("killer", 2)], kind
 
 
 def test_reset_mid_epoch_moves_member_to_new_group():
-    for coalesce in (False, True):
-        eng = Engine(coalesce_timers=coalesce)
+    for kind, engine_cls in ENGINES.items():
+        eng = engine_cls()
         log = []
         timers = []
         def shifter(i):
@@ -94,11 +101,11 @@ def test_reset_mid_epoch_moves_member_to_new_group():
         # the shifted timer's t=3.0 event was scheduled at t=1.0, the
         # shifter's re-arm at t=2.0, so shifted wins the seq tie-break
         assert log == [(1.0, "shifter", 0), (2.0, "shifter", 1),
-                       (3.0, "shifted", 0), (3.0, "shifter", 2)], coalesce
+                       (3.0, "shifted", 0), (3.0, "shifter", 2)], kind
 
 
 def test_empty_group_event_is_cancelled():
-    eng = Engine(coalesce_timers=True)
+    eng = Engine()
     t = IntervalTimer(eng, 1.0, lambda i: pytest.fail("cancelled timer fired"))
     t.cancel()
     base = eng.stats()["dispatched"]
@@ -107,11 +114,15 @@ def test_empty_group_event_is_cancelled():
     assert not eng.timer_hub._groups
 
 
-def test_hub_created_lazily_only_when_coalescing():
-    eng = Engine(coalesce_timers=False)
+def test_hub_created_lazily_by_the_first_timer():
+    eng = Engine()
+    assert eng.timer_hub is None           # no timers yet
     IntervalTimer(eng, 1.0, lambda i: None)
-    assert eng.timer_hub is None
-    eng2 = Engine(coalesce_timers=True)
-    assert eng2.timer_hub is None          # no timers yet
-    IntervalTimer(eng2, 1.0, lambda i: None)
-    assert isinstance(eng2.timer_hub, TimerHub)
+    hub = eng.timer_hub
+    assert isinstance(hub, TimerHub)
+    IntervalTimer(eng, 2.0, lambda i: None)
+    assert eng.timer_hub is hub            # one hub per engine
+    # the reference engine's per-timer hub is the one its timers join
+    ref = ReferenceEngine()
+    IntervalTimer(ref, 1.0, lambda i: None)
+    assert type(ref.timer_hub) is PerTimerHub
