@@ -101,12 +101,9 @@ def cached_run(name: str, *, timeslice: float = 1.0, nranks: int = 4,
                                 **overrides), live=live)
 
 
-def cached_config_run(config: ExperimentConfig, tag: str = "",
+def cached_config_run(config: ExperimentConfig,
                       live: bool = False) -> ExperimentResult:
-    """Run (or reuse) an arbitrary config.  ``tag`` is kept for call-site
-    readability; the cache key covers every config field, so it no
-    longer disambiguates anything."""
-    del tag
+    """Run (or reuse) an arbitrary config."""
     return _cached(config, live=live)
 
 

@@ -20,7 +20,7 @@ def build_rows():
     rows = {}
     for ps in PAGE_SIZES:
         cfg = paper_config(APP, nranks=2, timeslice=1.0, page_size=ps)
-        res = cached_config_run(cfg, tag="pagesize")
+        res = cached_config_run(cfg)
         rows[ps] = res.ib()
     return rows
 

@@ -17,11 +17,10 @@ APP = "ft"
 
 def build_rows():
     on = cached_config_run(paper_config(APP, nranks=4, timeslice=1.0,
-                                        intercept_receives=True),
-                           tag="intercept-on")
+                                        intercept_receives=True))
     off = cached_config_run(paper_config(APP, nranks=4, timeslice=1.0,
                                          intercept_receives=False),
-                            tag="intercept-off", live=True)
+                            live=True)
     missed = sum(nic.dma_missed_pages for nic in off.job.nics)
     return on.ib(), off.ib(), missed
 

@@ -23,7 +23,7 @@ def build_slowdowns():
     rows = {}
     for ts in TIMESLICES:
         cfg = base_cfg.scaled(timeslice=ts, charge_overhead=True)
-        res = cached_config_run(cfg, tag="intrusiveness")
+        res = cached_config_run(cfg)
         rows[ts] = (res.slowdown_vs(baseline),
                     res.log(0).total_overhead(),
                     res.log(0).faults().sum())

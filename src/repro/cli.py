@@ -171,7 +171,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--app", required=True, choices=sorted(PAPER_APPS))
     run.add_argument("--timeslice", type=float, default=1.0)
     run.add_argument("--ranks", type=int, default=4)
-    run.add_argument("--duration", type=float, default=None,
+    run.add_argument("--duration", type=_positive_float, default=None,
                      help="simulated seconds after initialization")
     run.add_argument("--save-trace", metavar="DIR", default=None,
                      help="write per-rank traces (npz+json) to DIR")
@@ -202,7 +202,7 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--timeslices", default="1,2,5,10,15,20",
                        help="comma-separated seconds")
     sweep.add_argument("--ranks", type=int, default=2)
-    sweep.add_argument("--duration", type=float, default=None,
+    sweep.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds after initialization")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for the sweep (default 1: "
@@ -556,12 +556,8 @@ def cmd_faults_run(args, out) -> int:
             print(f"bad fault plan: {exc}", file=sys.stderr)
             return 2
     elif args.mtbf is not None:
-        from repro.apps.registry import default_run_duration
-        duration = (args.duration if args.duration is not None
-                    else default_run_duration(config.spec))
-        duration = max(duration, 5.0 * args.timeslice)
         # failures stretch the run; draw events past the nominal end too
-        horizon = 3.0 * duration
+        horizon = 3.0 * config.duration
         if args.model == "weibull":
             plan = FaultPlan.weibull(args.mtbf, args.ranks, horizon,
                                      seed=args.seed, shape=args.shape,

@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ConfigurationError("need at least one rank")
         if self.timeslice <= 0:
             raise ConfigurationError("timeslice must be positive")
+        if self.run_duration is not None and self.run_duration <= 0:
+            raise ConfigurationError("run_duration must be positive")
         if self.ckpt_transport is not None:
             from repro.checkpoint.transport import TRANSPORT_MODES
             if self.ckpt_transport not in TRANSPORT_MODES:
@@ -74,6 +76,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"ckpt_block_size {block} must be >= 1 and divide the "
                 f"page size {self.page_size}")
+
+    @property
+    def duration(self) -> float:
+        """Main-loop run time: ``run_duration`` (the app default when
+        unset), floored at five timeslices so a measurement always sees
+        several timeslices after the initialization burst."""
+        duration = (self.run_duration if self.run_duration is not None
+                    else default_run_duration(self.spec))
+        return max(duration, 5.0 * self.timeslice)
 
     def scaled(self, **changes) -> "ExperimentConfig":
         """A copy with some fields replaced (parameter sweeps)."""
@@ -188,13 +199,7 @@ def run_experiment(config: ExperimentConfig,
     ``tests/sim/reference.py`` and require the same simulation."""
     engine = Engine(obs=obs)
     layout = Layout(page_size=config.page_size)
-    run_duration = (config.run_duration
-                    if config.run_duration is not None
-                    else default_run_duration(config.spec))
-    # a meaningful measurement needs several timeslices after the
-    # initialization burst, whatever the timeslice length
-    run_duration = max(run_duration, 5.0 * config.timeslice)
-    app = ScientificApplication(config.spec, run_duration=run_duration,
+    app = ScientificApplication(config.spec, run_duration=config.duration,
                                 charge_overhead=config.charge_overhead,
                                 layout=layout)
     job = MPIJob(engine, config.nranks, layout=layout,
@@ -250,10 +255,7 @@ def run_uninstrumented(config: ExperimentConfig) -> ExperimentResult:
     """The same run without any instrumentation (intrusiveness baseline)."""
     engine = Engine()
     layout = Layout(page_size=config.page_size)
-    run_duration = (config.run_duration
-                    if config.run_duration is not None
-                    else default_run_duration(config.spec))
-    app = ScientificApplication(config.spec, run_duration=run_duration,
+    app = ScientificApplication(config.spec, run_duration=config.duration,
                                 charge_overhead=False, layout=layout)
     job = MPIJob(engine, config.nranks, layout=layout,
                  procs_per_node=config.procs_per_node,

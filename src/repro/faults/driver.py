@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.apps.base import ScientificApplication
-from repro.apps.registry import default_run_duration
 from repro.checkpoint import CheckpointEngine, RestartCoordinator
 from repro.checkpoint.coordinated import GlobalCheckpoint
 from repro.checkpoint.recovery import RecoveryManager
@@ -160,9 +159,7 @@ class FailureRecoveryDriver:
         self.obs = NULL_OBS if obs is None else obs
         # the same duration resolution as run_experiment, so an empty
         # plan reproduces its traces byte for byte
-        duration = (config.run_duration if config.run_duration is not None
-                    else default_run_duration(config.spec))
-        self.total_duration = max(duration, 5.0 * config.timeslice)
+        self.total_duration = config.duration
 
     # -- public -------------------------------------------------------------
 

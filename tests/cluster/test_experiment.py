@@ -1,5 +1,7 @@
 """Integration tests for the experiment harness (small scales)."""
 
+import io
+
 import pytest
 
 from repro.apps.synthetic import small_spec
@@ -12,6 +14,7 @@ from repro.cluster import (
     sweep_processors,
     sweep_timeslices,
 )
+from repro.cli import main
 from repro.cluster.experiment import paper_config, run_uninstrumented
 from repro.errors import ConfigurationError
 from repro.units import GiB, MiB
@@ -98,6 +101,32 @@ def test_slowdown_vs_baseline():
     slowdown = instrumented.slowdown_vs(baseline)
     assert slowdown > 0.0
     assert slowdown < 1.0  # not absurd
+
+
+def test_baseline_run_shares_the_five_timeslice_floor():
+    # a run_duration shorter than five timeslices is stretched for the
+    # instrumented run and its uninstrumented baseline alike
+    cfg = tiny_config(timeslice=1.0, run_duration=0.5)
+    assert cfg.duration == 5.0
+    instrumented = run_experiment(cfg)
+    baseline = run_uninstrumented(cfg)
+    assert baseline.final_time == instrumented.final_time
+    assert baseline.iterations == instrumented.iterations
+    assert instrumented.slowdown_vs(baseline) == pytest.approx(0.0)
+
+
+def test_non_positive_run_duration_rejected():
+    for bad in (0.0, -5.0):
+        with pytest.raises(ConfigurationError):
+            tiny_config(run_duration=bad)
+    # every subcommand rejects it in argparse (exit 2, no traceback)
+    for argv in (["run", "--app", "lu", "--ranks", "2"],
+                 ["sweep", "--app", "lu", "--ranks", "2", "--no-cache"],
+                 ["faults", "run", "--app", "lu", "--ranks", "2"]):
+        for bad in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--duration", bad], io.StringIO())
+            assert exc.value.code == 2
 
 
 def test_paper_config_builder():
