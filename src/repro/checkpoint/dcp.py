@@ -118,9 +118,9 @@ class DcpCheckpointer(IncrementalCheckpointer):
     # -- capture ---------------------------------------------------------------
 
     def _units(self, seg: Segment, pages: np.ndarray,
-               new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               new_from: int) -> tuple[np.ndarray, np.ndarray]:
         """The blocks of the masked ``pages`` whose hash moved since the
-        baseline, plus every block of a ``new`` page."""
+        baseline, plus every block of a new page (from ``new_from`` on)."""
         bpp = self.blocks_per_page
         baseline = self._baseline_for(seg)
         self.last_page_mode_nbytes += len(pages) * self.memory.page_size
@@ -130,7 +130,7 @@ class DcpCheckpointer(IncrementalCheckpointer):
         # new/grown/regrown pages: baseline is stale or absent, so
         # every block must go out -- exactly the pages incremental
         # mode saves unconditionally
-        changed[new[pages]] = True
+        changed[pages >= new_from] = True
         baseline.reshape(-1, bpp)[pages] = current
         flat = (pages[:, None] * bpp
                 + np.arange(bpp, dtype=pages.dtype))[changed]
@@ -164,6 +164,6 @@ class DcpCheckpointer(IncrementalCheckpointer):
 
     def _reset_after_capture(self) -> None:
         super()._reset_after_capture()
-        live = set(self._last_npages)
+        live = {seg.sid for seg in self.memory.data_segments()}
         for sid in [s for s in self._baseline if s not in live]:
             del self._baseline[sid]

@@ -38,9 +38,9 @@ from typing import Optional
 import numpy as np
 
 from repro.checkpoint.full import geometry_of, unit_bytes_of
-from repro.checkpoint.snapshot import Checkpoint, Payload
+from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.errors import CheckpointError
-from repro.mem import AddressSpace
+from repro.mem import AddressSpace, SegmentKind
 
 
 class IncrementalCheckpointer:
@@ -59,8 +59,10 @@ class IncrementalCheckpointer:
         self.block_size = block_size
         #: sid -> accumulated dirty mask (grown lazily)
         self._dirty: dict[int, np.ndarray] = {}
-        #: sid -> segment size (pages) at the last capture
-        self._last_npages: dict[int, int] = {}
+        #: sid -> geometry record at the last capture or baseline: the
+        #: sizes new pages are counted from, reused by the next capture
+        #: while the segment's sid, base and size are unchanged
+        self._records: dict[int, SegmentRecord] = {}
         #: heap low-water mark (pages) since the last capture
         self._heap_low: Optional[int] = None
         self._captures = 0
@@ -71,9 +73,14 @@ class IncrementalCheckpointer:
     def observe(self) -> None:
         """Fold the current dirty bits into the accumulator.  Call once
         per timeslice *before* the tracker resets the dirty set; safe to
-        call at any other time too (idempotent for unchanged state)."""
+        call at any other time too (idempotent for unchanged state).
+
+        A segment is folded only when its O(1)
+        :meth:`~repro.mem.PageTable.dirty_count` is non-zero: the count
+        equals the dirty popcount, so a clean segment has nothing to
+        fold."""
         for seg in self.memory.data_segments():
-            if seg.npages == 0:
+            if not seg.pages.dirty_count():
                 continue
             acc = self._dirty.get(seg.sid)
             if acc is None or len(acc) < seg.npages:
@@ -91,37 +98,24 @@ class IncrementalCheckpointer:
 
     # -- capture ----------------------------------------------------------------------
 
-    def _capture_masks(self, seg) -> tuple[np.ndarray, np.ndarray]:
-        """Per-page save masks for one segment: ``(mask, new)``.
-
-        ``new`` marks pages saved *unconditionally* (whole new segments,
-        grown/regrown pages -- writes there may predate protection);
-        ``mask`` is the full capture set, ``new`` plus the accumulated
-        dirty pages.
-        """
-        new = np.zeros(seg.npages, dtype=bool)
-        known = self._last_npages.get(seg.sid)
-        if known is None:
-            new[:] = True                   # whole segment is new
-        else:
-            new_from = known
-            if (seg.kind.value == "heap" and self._heap_low is not None):
-                new_from = min(new_from, self._heap_low)
-            if new_from < seg.npages:
-                new[new_from:] = True       # grown/regrown pages
-        mask = new.copy()
-        acc = self._dirty.get(seg.sid)
-        if acc is not None:
-            n = min(len(acc), seg.npages)
-            mask[:n] |= acc[:n]
-        return mask, new
+    def _new_from(self, seg) -> int:
+        """First page of ``seg`` saved *unconditionally*: a whole new
+        segment is new from page 0, otherwise the pages grown since the
+        last capture (or regrown above the heap's low-water mark) are
+        new -- writes there may predate protection."""
+        rec = self._records.get(seg.sid)
+        if rec is None:
+            return 0
+        if self._heap_low is not None and seg.kind is SegmentKind.HEAP:
+            return min(rec.npages, self._heap_low)
+        return rec.npages
 
     def _units(self, seg, pages: np.ndarray,
-               new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               new_from: int) -> tuple[np.ndarray, np.ndarray]:
         """The units to save out of the masked ``pages``, and their
-        versions.  Without block tracking every block of a masked page
-        goes out at the page's write version; at one block per page a
-        unit is simply a page."""
+        versions; pages from ``new_from`` on are new.  Without block
+        tracking every block of a masked page goes out at the page's
+        write version; at one block per page a unit is simply a page."""
         versions = seg.pages.versions[pages]
         per_page = self.memory.page_size // self.block_size
         if per_page == 1:
@@ -133,15 +127,30 @@ class IncrementalCheckpointer:
         """Produce the delta checkpoint and reset the accumulator.
 
         Includes an implicit :meth:`observe`, so pages dirty *right now*
-        are never missed.
+        are never missed.  A segment with no accumulated dirty page and
+        no new page is skipped before any mask is built: it has no units
+        to save.
         """
         self.observe()
         payloads = []
         for seg in self.memory.data_segments():
-            if seg.npages == 0:
+            npages = seg.npages
+            if npages == 0:
                 continue
-            mask, new = self._capture_masks(seg)
-            indices, versions = self._units(seg, np.flatnonzero(mask), new)
+            new_from = self._new_from(seg)
+            acc = self._dirty.get(seg.sid)
+            if new_from >= npages:
+                if acc is None:
+                    continue
+                pages = np.flatnonzero(acc[:npages])
+            else:
+                mask = np.zeros(npages, dtype=bool)
+                if acc is not None:
+                    n = min(len(acc), npages)
+                    mask[:n] = acc[:n]
+                mask[new_from:] = True
+                pages = np.flatnonzero(mask)
+            indices, versions = self._units(seg, pages, new_from)
             if len(indices):
                 payloads.append(Payload(
                     sid=seg.sid, indices=indices, versions=versions,
@@ -152,7 +161,8 @@ class IncrementalCheckpointer:
             seq=seq,
             kind="dcp" if self.block_size < page_size else "incremental",
             taken_at=taken_at, page_size=page_size,
-            geometry=geometry_of(self.memory), payloads=tuple(payloads),
+            geometry=geometry_of(self.memory, self._records),
+            payloads=tuple(payloads),
             block_size=self.block_size)
         self._reset_after_capture()
         self._captures += 1
@@ -161,13 +171,12 @@ class IncrementalCheckpointer:
     def mark_baseline(self) -> None:
         """Declare the current state fully saved (call after a *full*
         checkpoint so the next delta is relative to it)."""
+        geometry_of(self.memory, self._records)
         self._reset_after_capture()
 
     def _reset_after_capture(self) -> None:
         self._dirty.clear()
         self._heap_low = None
-        self._last_npages = {seg.sid: seg.npages
-                             for seg in self.memory.data_segments()}
 
     @property
     def captures(self) -> int:

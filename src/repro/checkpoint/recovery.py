@@ -19,7 +19,7 @@ from repro.checkpoint.snapshot import Checkpoint, SegmentRecord
 from repro.errors import CorruptionError, RecoveryError
 from repro.mem import AddressSpace, Layout, SegmentKind
 from repro.storage import CheckpointStore
-from repro.storage.integrity import ChainVerification, verify_chain
+from repro.storage.integrity import verify_chain
 
 
 def replay_chain(chain: Sequence[Checkpoint]) \
@@ -216,8 +216,11 @@ class RecoveryManager:
     piece digests and chain links before a single byte is trusted: a
     silently corrupted, truncated, or dropped piece raises
     :class:`~repro.errors.CorruptionError` instead of restoring garbage.
-    :meth:`best_recovery_seq` implements the walk-back policy on top --
-    the newest committed sequence whose every rank chain verifies.
+    Choosing *which* sequence to recover to is not its job: the
+    corruption-aware walk-back belongs to
+    :class:`~repro.faults.driver.FailureRecoveryDriver`, and
+    ``repro ckpt verify`` scans a saved store with
+    :func:`~repro.storage.archive.scan_store`.
     """
 
     def __init__(self, store: CheckpointStore,
@@ -256,24 +259,6 @@ class RecoveryManager:
         if any(c is None for c in chain):
             raise RecoveryError("stored pieces are missing checkpoint payloads")
         return chain
-
-    def verify_all(self, seq: Optional[int] = None) -> list[ChainVerification]:
-        """Verify every rank's chain up to ``seq`` (default: latest
-        stored); outcomes, never exceptions -- the scan behind
-        ``repro ckpt verify``."""
-        return [self.store.verify_chain(rank, upto_seq=seq)
-                for rank in range(self.store.nranks)]
-
-    def best_recovery_seq(self) -> Optional[int]:
-        """The newest committed sequence every rank's chain verifies to
-        -- where corruption-aware recovery actually goes.  None when no
-        committed checkpoint survives intact (restart from scratch)."""
-        for seq in reversed(self.store.committed_sequences()):
-            if all(self.store.verify_chain(rank, upto_seq=seq,
-                                           require_seq=seq).intact
-                   for rank in range(self.store.nranks)):
-                return seq
-        return None
 
     def restore_rank(self, rank: int,
                      seq: Optional[int] = None) -> AddressSpace:

@@ -67,6 +67,8 @@ class RestartCoordinator:
         self.app = app
         self.recovery = RecoveryManager(store, layout=app.layout,
                                         verify_integrity=verify_integrity)
+        #: the committed sequence :meth:`restart` chose; None before it
+        self._seq: Optional[int] = None
 
     def restart(self, engine: Engine, *, nranks: Optional[int] = None,
                 seq: Optional[int] = None, name: str = "restart",
@@ -88,6 +90,10 @@ class RestartCoordinator:
 
     def launch(self, job: MPIJob, on_restored=None):
         """Launch the resume bodies on a job built by :meth:`restart`."""
+        if self._seq is None:
+            raise RecoveryError(
+                "launch() needs a job built by restart(): no restart "
+                "target has been chosen yet")
         return job.launch(make_resume_body(self.app, self.recovery,
                                            self._seq,
                                            on_restored=on_restored))

@@ -54,7 +54,8 @@ from repro.metrics.failures import (CorruptionDetected, FailureRecord,
                                     FaultRunMetrics)
 from repro.mpi import MPIJob
 from repro.sim import Engine
-from repro.storage import CheckpointStore
+from repro.storage import ChainVerification, CheckpointStore
+from repro.storage.integrity import prefix_verification
 
 
 @dataclass
@@ -448,21 +449,38 @@ class FailureRecoveryDriver:
         from-scratch restart, never a restore from corrupt data.
         """
         for life in reversed(result.lives):
+            # (rank, full head seq) -> verification of the newest
+            # candidate whose chain that full heads
+            heads: dict[tuple[int, Optional[int]], ChainVerification] = {}
             for seq in reversed(life.store.committed_sequences()):
                 if not self.verify_integrity:
                     return (life.index, seq)
-                if self._candidate_intact(result, life, seq, detected_at):
+                if self._candidate_intact(result, life, seq, detected_at,
+                                          heads):
                     return (life.index, seq)
         return None
 
     def _candidate_intact(self, result: FaultRunResult, life: LifeResult,
-                          seq: int, detected_at: float) -> bool:
+                          seq: int, detected_at: float,
+                          heads: dict[tuple[int, Optional[int]],
+                                      ChainVerification]) -> bool:
         """Verify every rank's chain up to ``seq`` in one life's store,
-        recording each broken chain."""
+        recording each broken chain.
+
+        Candidates are tried newest first, so each ``(rank, full head)``
+        chain is verified once, at the newest candidate it serves; an
+        older candidate's outcome is the prefix of that verification
+        (:func:`~repro.storage.integrity.prefix_verification`)."""
         intact = True
         for rank in range(self.config.nranks):
-            outcome = life.store.verify_chain(rank, upto_seq=seq,
-                                              require_seq=seq)
+            chain = life.store.chain(rank, upto_seq=seq)
+            key = (rank, chain[0].seq if chain else None)
+            newest = heads.get(key)
+            if newest is None:
+                outcome = heads[key] = life.store.verify_chain(
+                    rank, upto_seq=seq, require_seq=seq)
+            else:
+                outcome = prefix_verification(newest, seq)
             if outcome.intact:
                 continue
             intact = False

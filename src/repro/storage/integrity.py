@@ -14,7 +14,10 @@ store the machinery to make that impossible:
   replaced breaks the links of its successors even though their own
   content still hashes clean;
 - :func:`verify_chain` -- walks a recovery chain head-to-tail and
-  reports the longest intact prefix, the first bad piece, and why.
+  reports the longest intact prefix, the first bad piece, and why;
+- :func:`prefix_verification` -- derives, without hashing anything, the
+  outcome :func:`verify_chain` gives on a prefix of an already verified
+  chain (the walk-back's older candidates under the same full head).
 
 Verification is pure: it never mutates the store, and its outcome is a
 deterministic function of the stored bytes -- the same corrupted store
@@ -184,3 +187,41 @@ def verify_chain(rank: int, chain: Sequence["StoredObject"],
                                         kind="incremental", ok=False,
                                         reason="missing-target"))
     return done()
+
+
+#: reasons that describe the chain as a whole rather than a stored piece
+_CHAIN_REASONS = ("missing-base", "missing-target")
+
+
+def prefix_verification(outcome: ChainVerification,
+                        seq: int) -> ChainVerification:
+    """What :func:`verify_chain` reports, with ``require_seq=seq``, on
+    the pieces of ``outcome``'s chain with sequence at most ``seq`` --
+    derived from ``outcome`` alone, hashing nothing.
+
+    Exact because each piece's checks read only the piece, its
+    predecessor and the chain head, and a prefix keeps all three: it
+    passes and fails exactly the pieces ``outcome`` reports up to
+    ``seq``.  A piece ``outcome`` never reached lies past its first bad
+    piece, so past the prefix's too.  ``outcome`` must come from a
+    chain verified up to at least ``seq``.
+    """
+    pieces: list[PieceVerification] = []
+    verified: list[int] = []
+    for p in outcome.pieces:
+        if p.reason in _CHAIN_REASONS or p.seq > seq:
+            break
+        pieces.append(p)
+        if not p.ok:
+            break
+        verified.append(p.seq)
+    if not pieces:
+        pieces.append(PieceVerification(rank=outcome.rank, seq=seq,
+                                        kind="full", ok=False,
+                                        reason="missing-base"))
+    elif pieces[-1].ok and verified[-1] != seq:
+        pieces.append(PieceVerification(rank=outcome.rank, seq=seq,
+                                        kind="incremental", ok=False,
+                                        reason="missing-target"))
+    return ChainVerification(rank=outcome.rank, target_seq=seq,
+                             pieces=tuple(pieces), verified=tuple(verified))

@@ -108,6 +108,17 @@ def test_restart_rank_count_must_match():
         coordinator.restart(Engine(), nranks=4)
 
 
+def test_launch_before_restart_raises_recovery_error():
+    # launch() resumes at the sequence restart() chose; without one it
+    # must refuse clearly rather than fail on a missing attribute
+    app, ckpt, _ = run_until_failure()
+    coordinator = RestartCoordinator(ckpt.store, app)
+    engine = Engine()
+    job = MPIJob(engine, 2, process_factory=app.process_factory(engine))
+    with pytest.raises(RecoveryError, match="restart"):
+        coordinator.launch(job)
+
+
 def test_apply_chain_recreates_transient_mmaps():
     # a checkpoint taken while a transient allocation (Sage's per-
     # iteration temporaries) was live carries that mmap segment; a
