@@ -8,22 +8,23 @@ example runs the checkpointer the measurements argue for:
    coordinated checkpoint engine capturing an incremental checkpoint
    every few timeslices (full checkpoints periodically);
 2. a node failure kills rank 2 mid-run;
-3. recovery rolls every rank back to the last *committed* global
-   checkpoint and verifies -- by content signature -- that the restored
-   memory is bit-for-bit the state at capture time;
+3. recovery reads and verifies every rank's chain to the last
+   *committed* global checkpoint once, rolls every rank back to it,
+   and checks -- by state digest -- that the restored memory is
+   bit-for-bit the state at capture time;
 4. the lost work (time between the recovery point and the failure) is
    reported, the quantity the checkpoint interval trades off;
-5. the job is **restarted on a fresh cluster** from the store and
-   continues computing -- the full self-healing loop the paper's
+5. the job is **restarted on a fresh cluster** from the same chains
+   and continues computing -- the full self-healing loop the paper's
    autonomic-computing motivation calls for.
 
 Run:  python examples/failure_recovery.py
 """
 
 from repro.apps.synthetic import SyntheticApp, small_spec
-from repro.checkpoint import CheckpointEngine, RecoveryManager, RestartCoordinator
+from repro.checkpoint import (CheckpointEngine, RecoveryManager,
+                              RestartCoordinator, restore_address_space)
 from repro.instrument import InstrumentationLibrary, TrackerConfig
-from repro.mem import AddressSpace
 from repro.mpi import MPIJob
 from repro.sim import Engine
 from repro.units import fmt_bytes
@@ -45,7 +46,7 @@ def main() -> None:
     ckpt = CheckpointEngine(job, library, interval_slices=CHECKPOINT_EVERY,
                             full_every=8)
 
-    # keep reference signatures so recovery can be verified
+    # keep reference digests so recovery can be verified
     reference = {}
 
     def install_reference_hook(ctx):
@@ -54,7 +55,7 @@ def main() -> None:
         def snap(record, trk, rank=ctx.rank):
             if (record.index + 1) % CHECKPOINT_EVERY == 0:
                 reference[(rank, record.index)] = \
-                    trk.process.memory.state_signature()
+                    trk.process.memory.state_digest()
 
         tracker.slice_listeners.insert(0, snap)
 
@@ -75,14 +76,15 @@ def main() -> None:
               f"(latency {gc.commit_latency * 1e3:.1f} ms)")
 
     seq = ckpt.store.latest_committed()
-    recovery = RecoveryManager(ckpt.store, layout=app.layout)
-    restored = recovery.restore_all()
+    # every rank's chain, digest-verified once; both the restore below
+    # and the restart further down use these exact checkpoints
+    chains = RecoveryManager(ckpt.store).recovery_chains(seq)
 
     print(f"\nrolling back ALL ranks to committed sequence {seq}:")
     ok = True
-    for rank, asp in sorted(restored.items()):
-        want = reference[(rank, seq)]
-        match = AddressSpace.signatures_equal(asp.state_signature(), want)
+    for rank, chain in sorted(chains.items()):
+        asp = restore_address_space(chain, layout=app.layout)
+        match = asp.state_digest() == reference[(rank, seq)]
         ok &= match
         print(f"  rank {rank}: restored "
               f"{fmt_bytes(asp.data_footprint()):>9s} of data memory -- "
@@ -102,16 +104,14 @@ def main() -> None:
     print(f"\nrestarting the job on a fresh cluster from sequence {seq} ...")
     engine2 = Engine()
     app2 = SyntheticApp(spec, n_iterations=3)
-    coordinator = RestartCoordinator(ckpt.store, app2)
+    coordinator = RestartCoordinator(app2, chains)
     job2 = coordinator.restart(engine2)
     InstrumentationLibrary(TrackerConfig(timeslice=TIMESLICE),
                            app_name=spec.name).install(job2)
     verified = []
 
     def check(ctx):
-        want = reference[(ctx.rank, seq)]
-        verified.append(AddressSpace.signatures_equal(
-            ctx.memory.state_signature(), want))
+        verified.append(ctx.memory.state_digest() == reference[(ctx.rank, seq)])
 
     procs = coordinator.launch(job2, on_restored=check)
     engine2.run(detect_deadlock=True)

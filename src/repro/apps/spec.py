@@ -158,13 +158,6 @@ class WorkloadSpec:
         return self.passes * self.main_region_mb
 
     @property
-    def peak_write_rate_mb(self) -> float:
-        """Sweep rate during the processing burst (MB/s of visits) -- the
-        expected *maximum* IB at a 1 s timeslice, capped by the region."""
-        return min(self.write_volume_per_iteration_mb / self.burst_duration,
-                   self.main_region_mb / min(1.0, self.burst_duration))
-
-    @property
     def init_duration(self) -> float:
         """Length of the startup initialization burst (s)."""
         return self.footprint_mb / self.init_write_rate_mb

@@ -335,14 +335,6 @@ class CheckpointEngine:
         return [gc for gc in sorted(self.globals.values(), key=lambda g: g.seq)
                 if gc.committed]
 
-    def latest_commit_time(self) -> Optional[float]:
-        """When the most recent committed sequence became durable (the
-        reference point for lost-work accounting), or None."""
-        seq = self.store.latest_committed()
-        if seq is None:
-            return None
-        return self.globals[seq].committed_at
-
     def bytes_to_storage(self) -> int:
         """Total checkpoint bytes streamed to disks (all ranks)."""
         return sum(d.bytes_written for d in self._disks.values())

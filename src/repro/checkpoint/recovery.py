@@ -209,6 +209,31 @@ def apply_chain(memory: AddressSpace, chain: Sequence[Checkpoint],
     memory._version = max_version
 
 
+def estimated_restore_time(chain: Sequence[Checkpoint],
+                           read_bandwidth: float, *,
+                           seek_latency: float = 4.7e-3,
+                           verify_bandwidth: Optional[float] = None) -> float:
+    """How long reading a recovery chain from stable storage takes: one
+    sequential read per chain piece.  Feeds the availability model's
+    restart-time parameter.
+
+    ``verify_bandwidth`` additionally charges one digest recomputation
+    pass over every byte read (integrity-checked restore); None keeps
+    the cost identical to an unverified read.
+    """
+    if not chain:
+        raise RecoveryError("empty checkpoint chain")
+    if read_bandwidth <= 0:
+        raise RecoveryError("read bandwidth must be positive")
+    total = sum(seek_latency + ckpt.nbytes / read_bandwidth
+                for ckpt in chain)
+    if verify_bandwidth is not None:
+        if verify_bandwidth <= 0:
+            raise RecoveryError("verify bandwidth must be positive")
+        total += sum(ckpt.nbytes / verify_bandwidth for ckpt in chain)
+    return total
+
+
 class RecoveryManager:
     """Recovery over a :class:`~repro.storage.CheckpointStore`.
 
@@ -260,6 +285,13 @@ class RecoveryManager:
             raise RecoveryError("stored pieces are missing checkpoint payloads")
         return chain
 
+    def recovery_chains(self, seq: Optional[int] = None) \
+            -> dict[int, list[Checkpoint]]:
+        """Every rank's :meth:`recovery_chain` to the same sequence: what
+        a :class:`~repro.checkpoint.RestartCoordinator` resumes from."""
+        return {rank: self.recovery_chain(rank, seq)
+                for rank in range(self.store.nranks)}
+
     def restore_rank(self, rank: int,
                      seq: Optional[int] = None) -> AddressSpace:
         """Rebuild one rank's address space from its stored chain."""
@@ -269,29 +301,5 @@ class RecoveryManager:
     def restore_all(self, seq: Optional[int] = None) -> dict[int, AddressSpace]:
         """Roll every rank back to the same committed sequence -- the
         coordinated recovery a failure triggers."""
-        return {rank: self.restore_rank(rank, seq)
-                for rank in range(self.store.nranks)}
-
-    def estimated_restore_time(self, rank: int, read_bandwidth: float,
-                               seq: Optional[int] = None,
-                               seek_latency: float = 4.7e-3,
-                               verify_bandwidth: Optional[float] = None,
-                               ) -> float:
-        """How long reading this rank's recovery chain from stable
-        storage takes: one sequential read per chain piece.  Feeds the
-        availability model's restart-time parameter.
-
-        ``verify_bandwidth`` additionally charges one digest
-        recomputation pass over every byte read (integrity-checked
-        restore); None keeps the cost identical to an unverified read.
-        """
-        if read_bandwidth <= 0:
-            raise RecoveryError("read bandwidth must be positive")
-        chain = self.recovery_chain(rank, seq)
-        total = sum(seek_latency + ckpt.nbytes / read_bandwidth
-                    for ckpt in chain)
-        if verify_bandwidth is not None:
-            if verify_bandwidth <= 0:
-                raise RecoveryError("verify bandwidth must be positive")
-            total += sum(ckpt.nbytes / verify_bandwidth for ckpt in chain)
-        return total
+        return {rank: restore_address_space(chain, layout=self.layout)
+                for rank, chain in self.recovery_chains(seq).items()}

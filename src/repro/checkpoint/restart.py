@@ -22,32 +22,31 @@ on the restarted job exactly like on the original one.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Sequence
 
 from repro.apps.base import ScientificApplication
-from repro.checkpoint.recovery import RecoveryManager, apply_chain
-from repro.errors import RecoveryError
+from repro.checkpoint.recovery import apply_chain
+from repro.checkpoint.snapshot import Checkpoint
 from repro.mpi import MPIJob, RankContext
 from repro.sim import Engine
-from repro.storage import CheckpointStore
 
 
 def make_resume_body(app: ScientificApplication,
-                     recovery: RecoveryManager,
-                     seq: Optional[int] = None,
+                     chains: dict[int, Sequence[Checkpoint]],
                      on_restored=None):
-    """A body factory that restores state and continues iterating.
+    """A body factory that restores each rank from ``chains[rank]`` and
+    continues iterating.
 
-    ``on_restored(ctx)``, if given, runs right after the chain has been
-    applied and before any new computation -- the seam verification and
-    logging hang off.
+    The chains are applied as given: verifying them is the caller's job
+    (see :class:`RestartCoordinator`).  ``on_restored(ctx)``, if given, runs
+    right after the chain has been applied and before any new
+    computation -- the seam verification and logging hang off.
     """
 
     def body(ctx: RankContext) -> Generator:
         rc = app._build_run_context(ctx)
         app.allocate_regions(rc)
-        chain = recovery.recovery_chain(ctx.rank, seq)
-        apply_chain(ctx.memory, chain, strict=True)
+        apply_chain(ctx.memory, chains[ctx.rank], strict=True)
         ctx.memory.reset_dirty()
         if on_restored is not None:
             on_restored(ctx)
@@ -59,41 +58,29 @@ def make_resume_body(app: ScientificApplication,
 
 
 class RestartCoordinator:
-    """Rebuilds and relaunches a job from a checkpoint store."""
+    """Rebuilds and relaunches a job from one recovery chain per rank.
 
-    def __init__(self, store: CheckpointStore, app: ScientificApplication,
-                 *, verify_integrity: bool = True):
-        self.store = store
+    The failure driver passes the chains its walk-back verified;
+    standalone callers take them from
+    :meth:`~repro.checkpoint.RecoveryManager.recovery_chains`, which
+    verifies each rank's chain once.
+    """
+
+    def __init__(self, app: ScientificApplication,
+                 chains: dict[int, Sequence[Checkpoint]]):
         self.app = app
-        self.recovery = RecoveryManager(store, layout=app.layout,
-                                        verify_integrity=verify_integrity)
-        #: the committed sequence :meth:`restart` chose; None before it
-        self._seq: Optional[int] = None
+        self.chains = chains
 
-    def restart(self, engine: Engine, *, nranks: Optional[int] = None,
-                seq: Optional[int] = None, name: str = "restart",
+    def restart(self, engine: Engine, *, name: str = "restart",
                 **job_kwargs) -> MPIJob:
-        """Create the restarted job (not yet launched); the caller may
-        install instrumentation/checkpointing before :meth:`launch`."""
-        nranks = nranks if nranks is not None else self.store.nranks
-        if nranks != self.store.nranks:
-            raise RecoveryError(
-                f"restart must use the original rank count "
-                f"{self.store.nranks}, got {nranks}")
-        target = seq if seq is not None else self.store.latest_committed()
-        if target is None:
-            raise RecoveryError("no committed global checkpoint to restart from")
-        self._seq = target
-        return MPIJob(engine, nranks, layout=self.app.layout,
+        """Create the restarted job, one rank per chain (not yet
+        launched); the caller may install instrumentation/checkpointing
+        before :meth:`launch`."""
+        return MPIJob(engine, len(self.chains), layout=self.app.layout,
                       process_factory=self.app.process_factory(engine),
                       name=name, **job_kwargs)
 
     def launch(self, job: MPIJob, on_restored=None):
         """Launch the resume bodies on a job built by :meth:`restart`."""
-        if self._seq is None:
-            raise RecoveryError(
-                "launch() needs a job built by restart(): no restart "
-                "target has been chosen yet")
-        return job.launch(make_resume_body(self.app, self.recovery,
-                                           self._seq,
+        return job.launch(make_resume_body(self.app, self.chains,
                                            on_restored=on_restored))

@@ -282,8 +282,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="failure-detection latency, seconds")
     frun.add_argument("--max-faults", type=_positive_int, default=None,
                       help="cap the stochastic plan's event count")
-    frun.add_argument("--no-verify", action="store_true",
-                      help="skip the bit-identical restore verification")
     frun.add_argument("--ckpt-transport",
                       choices=("estimate", "network", "diskless"),
                       default="estimate",
@@ -582,7 +580,6 @@ def cmd_faults_run(args, out) -> int:
                                interval_slices=args.interval,
                                full_every=args.full_every,
                                detection_latency=args.detect_latency,
-                               verify=not args.no_verify,
                                verify_integrity=not args.no_verify_integrity,
                                integrity_bandwidth=args.integrity_bandwidth,
                                ckpt_transport=args.ckpt_transport,

@@ -125,11 +125,6 @@ class ExperimentResult:
         """IB statistics excluding the initialization burst."""
         return ib_stats(self.logs[rank], skip_until=self.init_end_time)
 
-    def ib_all_ranks(self) -> dict[int, IBStats]:
-        """Per-rank IB statistics (bulk synchrony makes them agree)."""
-        return {r: ib_stats(log, skip_until=self.init_end_time)
-                for r, log in self.logs.items()}
-
     def footprint(self, rank: int = 0) -> FootprintStats:
         """Footprint statistics (Table 2's columns) for one rank."""
         return footprint_stats(self.logs[rank],

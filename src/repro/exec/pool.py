@@ -42,13 +42,6 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 
 
-def _run_detached(config):
-    """Pool worker: one full experiment, shipped back without live objects."""
-    from repro.cluster.experiment import run_experiment
-
-    return run_experiment(config).detached()
-
-
 def _run_and_store(config, cache_root: Optional[str]):
     """Pool worker: run one experiment and persist it to the cache (by
     root path -- cache handles are not shared across processes).  Puts

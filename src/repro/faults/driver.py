@@ -10,9 +10,8 @@ lands it
    :meth:`~repro.sim.Engine.stop`),
 2. finds the newest *committed* global checkpoint across all previous
    lives whose every rank chain passes integrity verification, and
-   rolls every rank back to it
-   (:class:`~repro.checkpoint.RecoveryManager` /
-   :class:`~repro.checkpoint.RestartCoordinator`).  A silently
+   rolls every rank back to it: the chains that walk-back verified are
+   the ones :class:`~repro.checkpoint.RestartCoordinator` applies.  A silently
    corrupted piece (bit flips, torn writes, dropped objects -- the
    FLIP/TRUNCATE/DROP fault kinds) is detected here: the poisoned
    committed sequence is rejected with a
@@ -27,12 +26,12 @@ lands it
    checkpoint.
 
 Determinism: the same config and plan produce bit-identical traces,
-failure records, and metrics on every run.  With ``verify=True`` (the
-default) the driver additionally asserts, at every restore, that the
-rebuilt address spaces are bit-identical to the state the failed run
-held at the recovered checkpoint's capture instant -- which, because
-faults have no effect before they fire, is exactly the state of a
-failure-free run at the same logical time.
+failure records, and metrics on every run.  The driver also asserts, at
+every restore, that the rebuilt address spaces are bit-identical to the
+state the failed run held at the recovered checkpoint's capture instant
+(their :meth:`~repro.mem.AddressSpace.state_digest` values match) --
+which, because faults have no effect before they fire, is exactly the
+state of a failure-free run at the same logical time.
 """
 
 from __future__ import annotations
@@ -43,13 +42,14 @@ from typing import Optional
 from repro.apps.base import ScientificApplication
 from repro.checkpoint import CheckpointEngine, RestartCoordinator
 from repro.checkpoint.coordinated import GlobalCheckpoint
-from repro.checkpoint.recovery import RecoveryManager
+from repro.checkpoint.recovery import estimated_restore_time
+from repro.checkpoint.snapshot import Checkpoint
 from repro.cluster.experiment import ExperimentConfig
 from repro.errors import FaultPlanError, RecoveryError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.instrument import InstrumentationLibrary, TraceLog, TrackerConfig
-from repro.mem import AddressSpace, Layout
+from repro.mem import Layout
 from repro.metrics.failures import (CorruptionDetected, FailureRecord,
                                     FaultRunMetrics)
 from repro.mpi import MPIJob
@@ -68,9 +68,9 @@ class LifeResult:
     logs: dict[int, TraceLog]
     store: CheckpointStore
     committed: list[GlobalCheckpoint]
-    #: state signature snapped at each capture boundary: (rank, seq) -> sig
-    signatures: dict[tuple[int, int], dict] = field(repr=False,
-                                                    default_factory=dict)
+    #: state digest snapped at each capture boundary: (rank, seq) -> digest
+    signatures: dict[tuple[int, int], bytes] = field(repr=False,
+                                                     default_factory=dict)
     #: absolute useful progress (seconds) at each capture boundary
     progress_at: dict[int, float] = field(default_factory=dict)
     iterations: int = 0
@@ -93,9 +93,9 @@ class FaultRunResult:
     failures: list[FailureRecord]
     #: chains that failed integrity verification during recovery scans
     corruptions: list[CorruptionDetected] = field(default_factory=list)
-    #: per failure: the restored address-space signatures {rank: sig}
-    restored_signatures: list[dict[int, dict]] = field(repr=False,
-                                                       default_factory=list)
+    #: per failure: the restored address-space digests {rank: digest}
+    restored_signatures: list[dict[int, bytes]] = field(repr=False,
+                                                        default_factory=list)
     final_time: float = 0.0
 
     @property
@@ -113,10 +113,6 @@ class FaultRunResult:
             return None
         return sum(lats) / len(lats)
 
-    def logs_of_life(self, index: int = 0) -> dict[int, TraceLog]:
-        """Per-rank timeslice traces of one life."""
-        return self.lives[index].logs
-
 
 class FailureRecoveryDriver:
     """Drives one configuration through a fault plan, life by life."""
@@ -125,7 +121,6 @@ class FailureRecoveryDriver:
                  interval_slices: int = 2, full_every: int = 4,
                  detection_latency: float = 0.25,
                  read_bandwidth: Optional[float] = None,
-                 verify: bool = True,
                  verify_integrity: bool = True,
                  integrity_bandwidth: Optional[float] = None,
                  max_failures: int = 1000,
@@ -143,10 +138,9 @@ class FailureRecoveryDriver:
         self.full_every = full_every
         self.detection_latency = detection_latency
         self.read_bandwidth = read_bandwidth
-        self.verify = verify
         #: verify chain integrity before trusting a committed checkpoint
         #: (off reproduces the pre-integrity driver: corruption restores
-        #: garbage and the signature check, if on, is what catches it)
+        #: garbage and the restore-time digest check is what catches it)
         self.verify_integrity = verify_integrity
         #: when set, charge digest recomputation at this bandwidth (B/s)
         #: into restore time; None keeps restore costs bit-identical to
@@ -170,11 +164,10 @@ class FailureRecoveryDriver:
                                 lives=[], failures=[])
         t_now = 0.0
         progress_before = 0.0
-        restored_from: Optional[tuple[int, int]] = None
+        decision: Optional[tuple[int, int, dict]] = None
 
         while True:
-            life = self._run_life(result, t_now, progress_before,
-                                  restored_from)
+            life = self._run_life(result, t_now, progress_before, decision)
             result.lives.append(life)
             if life is not None and self._life_complete:
                 result.final_time = life.t_end
@@ -182,7 +175,7 @@ class FailureRecoveryDriver:
             if len(result.failures) >= self.max_failures:
                 raise RecoveryError(
                     f"gave up after {self.max_failures} failures")
-            record, t_now, progress_before, restored_from = \
+            record, t_now, progress_before, decision = \
                 self._recover(result, life)
             result.failures.append(record)
 
@@ -190,8 +183,11 @@ class FailureRecoveryDriver:
 
     def _run_life(self, result: FaultRunResult, t_start: float,
                   progress_before: float,
-                  restored_from: Optional[tuple[int, int]]) -> LifeResult:
+                  decision: Optional[tuple[int, int, dict]]) -> LifeResult:
+        """Run one life; ``decision`` is the recovery it resumes from
+        (see :meth:`_recovery_target`), None for a fresh start."""
         config = self.config
+        restored_from = None if decision is None else decision[:2]
         engine = Engine(start_time=t_start, obs=self.obs)
         layout = Layout(page_size=config.page_size)
         remaining = max(0.0, self.total_duration - progress_before)
@@ -205,11 +201,8 @@ class FailureRecoveryDriver:
                          process_factory=app.process_factory(engine),
                          name=config.spec.name)
         else:
-            src_life, seq = restored_from
-            coordinator = RestartCoordinator(
-                result.lives[src_life].store, app,
-                verify_integrity=self.verify_integrity)
-            job = coordinator.restart(engine, seq=seq,
+            coordinator = RestartCoordinator(app, decision[2])
+            job = coordinator.restart(engine,
                                       procs_per_node=config.procs_per_node,
                                       name=f"{config.spec.name}.life{index}")
         library = InstrumentationLibrary(
@@ -255,22 +248,24 @@ class FailureRecoveryDriver:
                 # from-scratch restart: nothing was restored
                 result.restored_signatures.append({})
         else:
-            verify_hook = (self._make_verify_hook(result, restored_from)
-                           if self.verify else None)
-            restored: dict[int, dict] = {}
+            # the headline guarantee, enforced at runtime: each restored
+            # address space must be bit-identical to the one the serving
+            # life held when the recovered checkpoint was captured
+            src_life, seq = restored_from
+            captured = result.lives[src_life].signatures
+            restored: dict[int, bytes] = {}
 
-            def on_restored(ctx, _hook=verify_hook):
-                restored[ctx.rank] = ctx.memory.state_signature()
-                if _hook is not None:
-                    try:
-                        _hook(ctx)
-                    except RecoveryError:
-                        # a poisoned restore kills this rank before the
-                        # restart barrier; without a halt the surviving
-                        # ranks would checkpoint forever against a
-                        # barrier that can never complete
-                        engine.stop()
-                        raise
+            def on_restored(ctx):
+                digest = restored[ctx.rank] = ctx.memory.state_digest()
+                if digest != captured[(ctx.rank, seq)]:
+                    # a poisoned restore kills this rank before the
+                    # restart barrier; without a halt the surviving
+                    # ranks would checkpoint forever against a
+                    # barrier that can never complete
+                    engine.stop()
+                    raise RecoveryError(
+                        f"rank {ctx.rank} restored state differs from the "
+                        f"checkpoint captured at seq {seq} (life {src_life})")
 
             procs = coordinator.launch(job, on_restored=on_restored)
             result.restored_signatures.append(restored)
@@ -329,7 +324,7 @@ class FailureRecoveryDriver:
     def _install_probe(self, job: MPIJob, library: InstrumentationLibrary,
                        app: ScientificApplication, life: LifeResult,
                        progress_before: float) -> None:
-        """Snapshot state signatures and useful progress at every capture
+        """Snapshot state digests and useful progress at every capture
         boundary, *before* the checkpoint engine's listener runs (same
         instant, identical state)."""
         interval = self.interval_slices
@@ -341,9 +336,8 @@ class FailureRecoveryDriver:
                 if (record.index + 1) % interval != 0:
                     return
                 seq = record.index
-                if self.verify:
-                    life.signatures[(rank, seq)] = \
-                        trk.process.memory.state_signature()
+                life.signatures[(rank, seq)] = \
+                    trk.process.memory.state_digest()
                 if rank == 0:
                     rc0 = app.contexts[0] if app.contexts else None
                     if rc0 is not None and rc0.iteration_starts:
@@ -356,26 +350,6 @@ class FailureRecoveryDriver:
             tracker.slice_listeners.insert(0, probe)
 
         job.init_hooks.append(install)
-
-    def _make_verify_hook(self, result: FaultRunResult,
-                          restored_from: tuple[int, int]):
-        """The headline guarantee, enforced at runtime: the restored
-        address space must be bit-identical to the one the serving life
-        held when the recovered checkpoint was captured."""
-        src_life, seq = restored_from
-        signatures = result.lives[src_life].signatures
-
-        def check(ctx):
-            want = signatures.get((ctx.rank, seq))
-            if want is None:
-                return  # signatures disabled for that life
-            got = ctx.memory.state_signature()
-            if not AddressSpace.signatures_equal(got, want):
-                raise RecoveryError(
-                    f"rank {ctx.rank} restored state differs from the "
-                    f"checkpoint captured at seq {seq} (life {src_life})")
-
-        return check
 
     # -- recovery -----------------------------------------------------------
 
@@ -397,21 +371,16 @@ class FailureRecoveryDriver:
             recovered_seq = None
             recovery_life = None
             progress_restored = 0.0
-            restored_from = None
         else:
-            recovery_life, recovered_seq = target
-            src = result.lives[recovery_life]
-            manager = RecoveryManager(
-                src.store, verify_integrity=self.verify_integrity)
+            recovery_life, recovered_seq, chains = target
             bw = (self.read_bandwidth if self.read_bandwidth is not None
                   else self.config.cluster.disk.bandwidth)
             restore_time = max(
-                manager.estimated_restore_time(
-                    rank, bw, seq=recovered_seq,
-                    verify_bandwidth=self.integrity_bandwidth)
-                for rank in range(self.config.nranks))
-            progress_restored = src.progress_at.get(recovered_seq, 0.0)
-            restored_from = target
+                estimated_restore_time(
+                    chain, bw, verify_bandwidth=self.integrity_bandwidth)
+                for chain in chains.values())
+            progress_restored = result.lives[recovery_life].progress_at.get(
+                recovered_seq, 0.0)
         lost_work = max(0.0, progress_at_fail - progress_restored)
         downtime = self.detection_latency + restore_time
         restarted_at = t_fail + downtime
@@ -433,12 +402,15 @@ class FailureRecoveryDriver:
                                 victims=list(victims), seq=recovered_seq,
                                 lost_work=lost_work,
                                 restore_time=restore_time)
-        return record, restarted_at, progress_restored, restored_from
+        return record, restarted_at, progress_restored, target
 
-    def _recovery_target(self, result: FaultRunResult,
-                         detected_at: float) -> Optional[tuple[int, int]]:
+    def _recovery_target(self, result: FaultRunResult, detected_at: float
+                         ) -> Optional[tuple[int, int,
+                                             dict[int, list[Checkpoint]]]]:
         """Newest committed global checkpoint across all lives that
-        passes integrity verification.
+        passes integrity verification, as ``(life, seq, chains)``:
+        ``chains[rank]`` holds the checkpoints that rank restores from,
+        the payloads of exactly the pieces verified here.
 
         With ``verify_integrity`` every candidate is scanned rank by
         rank before recovery trusts it; a corrupted, truncated, or
@@ -447,24 +419,30 @@ class FailureRecoveryDriver:
         bad chain) and the search walks back to the next older one --
         across lives if need be.  Nothing intact anywhere means a
         from-scratch restart, never a restore from corrupt data.
+        Without it the newest committed sequence is taken, its chains
+        as the store holds them.
         """
         for life in reversed(result.lives):
             # (rank, full head seq) -> verification of the newest
             # candidate whose chain that full heads
             heads: dict[tuple[int, Optional[int]], ChainVerification] = {}
             for seq in reversed(life.store.committed_sequences()):
-                if not self.verify_integrity:
-                    return (life.index, seq)
-                if self._candidate_intact(result, life, seq, detected_at,
-                                          heads):
-                    return (life.index, seq)
+                chains = {rank: life.store.chain(rank, upto_seq=seq)
+                          for rank in range(self.config.nranks)}
+                if (not self.verify_integrity
+                        or self._candidate_intact(result, life, seq, chains,
+                                                  detected_at, heads)):
+                    return (life.index, seq,
+                            {rank: [p.payload for p in pieces]
+                             for rank, pieces in chains.items()})
         return None
 
     def _candidate_intact(self, result: FaultRunResult, life: LifeResult,
-                          seq: int, detected_at: float,
+                          seq: int, chains: dict[int, list],
+                          detected_at: float,
                           heads: dict[tuple[int, Optional[int]],
                                       ChainVerification]) -> bool:
-        """Verify every rank's chain up to ``seq`` in one life's store,
+        """Verify every rank's stored chain up to ``seq`` in one life,
         recording each broken chain.
 
         Candidates are tried newest first, so each ``(rank, full head)``
@@ -472,8 +450,7 @@ class FailureRecoveryDriver:
         older candidate's outcome is the prefix of that verification
         (:func:`~repro.storage.integrity.prefix_verification`)."""
         intact = True
-        for rank in range(self.config.nranks):
-            chain = life.store.chain(rank, upto_seq=seq)
+        for rank, chain in chains.items():
             key = (rank, chain[0].seq if chain else None)
             newest = heads.get(key)
             if newest is None:
@@ -511,7 +488,6 @@ def run_with_failures(config: ExperimentConfig,
                       interval_slices: int = 2, full_every: int = 4,
                       detection_latency: float = 0.25,
                       read_bandwidth: Optional[float] = None,
-                      verify: bool = True,
                       verify_integrity: bool = True,
                       integrity_bandwidth: Optional[float] = None,
                       max_failures: int = 1000,
@@ -528,8 +504,7 @@ def run_with_failures(config: ExperimentConfig,
     return FailureRecoveryDriver(
         config, plan, interval_slices=interval_slices,
         full_every=full_every, detection_latency=detection_latency,
-        read_bandwidth=read_bandwidth, verify=verify,
-        verify_integrity=verify_integrity,
+        read_bandwidth=read_bandwidth, verify_integrity=verify_integrity,
         integrity_bandwidth=integrity_bandwidth,
         max_failures=max_failures, ckpt_transport=ckpt_transport,
         obs=obs).run()

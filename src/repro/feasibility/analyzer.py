@@ -106,12 +106,6 @@ class MeasuredVerdict:
         the transport as *built*, not just as modelled."""
         return self.stalls == 0
 
-    @property
-    def mean_slice_contention(self) -> float:
-        if not self.per_slice_contention:
-            return 0.0
-        return sum(self.per_slice_contention) / len(self.per_slice_contention)
-
     def as_row(self) -> str:
         """One printable measured-verdict row."""
         return (f"{self.app_name:14s} drain={self.achieved_bandwidth / MiB:7.1f} MB/s "
@@ -170,17 +164,6 @@ class FeasibilityAnalyzer:
             contention_delay=stats.contention_delay,
             contended_messages=stats.contended_messages,
             per_slice_contention=tuple(stats.per_slice_contention()))
-
-    def report_measured(self, verdicts: list[MeasuredVerdict]) -> str:
-        """A printable table of measured verdicts."""
-        lines = [
-            f"Measured under contention (sustainable "
-            f"{fmt_bandwidth(self.envelope.sustainable_bandwidth)}):",
-        ]
-        lines += [v.as_row() for v in verdicts]
-        n_ok = sum(v.keeping_up for v in verdicts)
-        lines.append(f"{n_ok}/{len(verdicts)} configurations keeping up")
-        return "\n".join(lines)
 
     def report(self, verdicts: list[FeasibilityVerdict]) -> str:
         """A printable table (one row per application)."""

@@ -69,11 +69,6 @@ class InstrumentationLibrary:
         """Every rank's trace, keyed by rank."""
         return {rank: t.log for rank, t in sorted(self.trackers.items())}
 
-    def detach_all(self) -> None:
-        """Disarm every tracker (alarms cancelled, memory unprotected)."""
-        for tracker in self.trackers.values():
-            tracker.detach()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<InstrumentationLibrary app={self.app_name!r} "
                 f"trackers={len(self.trackers)}>")

@@ -11,6 +11,7 @@ listeners (the dirty-page tracker) which do the accounting.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -582,6 +583,21 @@ class AddressSpace:
             (seg.kind.value, seg.base): (seg.size, seg.pages.versions.copy())
             for seg in self.data_segments()
         }
+
+    def state_digest(self) -> bytes:
+        """Fixed-size sha256 digest of :meth:`state_signature`.
+
+        Covers each data segment's ``(kind, base, size)`` and its page
+        versions, segments in ``(kind, base)`` order, so equal digests
+        mean equal signatures (up to a sha256 collision) while keeping
+        32 bytes instead of one version per mapped page.
+        """
+        h = sha256()
+        for seg in sorted(self.data_segments(),
+                          key=lambda seg: (seg.kind.value, seg.base)):
+            h.update(f"{seg.kind.value}|{seg.base}|{seg.size}|".encode())
+            h.update(seg.pages.versions)
+        return h.digest()
 
     @staticmethod
     def signatures_equal(a: dict[tuple, tuple], b: dict[tuple, tuple]) -> bool:

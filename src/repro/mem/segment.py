@@ -197,20 +197,6 @@ class Segment:
         off = page_index * self.page_size
         return bytes(self.contents[off:off + self.page_size])
 
-    def set_page_bytes(self, page_index: int, data: bytes) -> None:
-        """Overwrite one whole page of content (checkpoint restore)."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        if len(data) != self.page_size:
-            raise MappingError(
-                f"page payload of {len(data)} bytes != page size "
-                f"{self.page_size}")
-        if not (0 <= page_index < self.npages):
-            raise MappingError(f"page {page_index} outside segment")
-        off = page_index * self.page_size
-        self.contents[off:off + self.page_size] = data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment #{self.sid} {self.name!r} {self.kind.value} "
                 f"[{self.base:#x}, {self.end:#x}) {self.npages}p>")

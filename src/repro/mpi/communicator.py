@@ -308,9 +308,6 @@ class RankComm:
     def _coll_tag(self, op: int, seq: int, round_: int) -> int:
         return -(seq * 64 + op * 8 + round_ + 1)
 
-    def _peer(self, rank: int) -> "RankComm":
-        return self.world.ranks[rank]
-
     def barrier(self):
         """Dissemination barrier: ceil(log2(size)) rounds of header-size
         messages."""

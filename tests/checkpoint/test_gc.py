@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.synthetic import SyntheticApp, small_spec
 from repro.checkpoint import CheckpointEngine, RecoveryManager
+from repro.checkpoint.recovery import estimated_restore_time
 from repro.errors import RecoveryError
 from repro.instrument import InstrumentationLibrary, TrackerConfig
 from repro.mpi import MPIJob
@@ -82,10 +83,19 @@ def test_gc_keeps_diskless_capacity_bounded():
 
 def test_estimated_restore_time():
     app, ckpt = run_engine()
-    recovery = RecoveryManager(ckpt.store, layout=app.layout)
-    t = recovery.estimated_restore_time(0, read_bandwidth=320 * MiB)
-    chain = recovery.recovery_chain(0)
+    chain = RecoveryManager(ckpt.store, layout=app.layout).recovery_chain(0)
+    t = estimated_restore_time(chain, read_bandwidth=320 * MiB)
     expected = sum(4.7e-3 + c.nbytes / (320 * MiB) for c in chain)
     assert t == pytest.approx(expected)
+    # a digest pass over every byte read adds its own term
+    verified = estimated_restore_time(chain, read_bandwidth=320 * MiB,
+                                      verify_bandwidth=1000 * MiB)
+    assert verified == pytest.approx(
+        expected + sum(c.nbytes for c in chain) / (1000 * MiB))
     with pytest.raises(RecoveryError):
-        recovery.estimated_restore_time(0, read_bandwidth=0)
+        estimated_restore_time(chain, read_bandwidth=0)
+    with pytest.raises(RecoveryError):
+        estimated_restore_time(chain, read_bandwidth=320 * MiB,
+                               verify_bandwidth=0)
+    with pytest.raises(RecoveryError):
+        estimated_restore_time([], read_bandwidth=320 * MiB)

@@ -5,7 +5,8 @@ import pytest
 from repro.apps.synthetic import SyntheticApp, small_spec
 from repro.checkpoint import CheckpointEngine, RestartCoordinator, apply_chain
 from repro.checkpoint.recovery import RecoveryManager
-from repro.errors import RecoveryError
+from repro.checkpoint import restart as restart_mod
+from repro.errors import CorruptionError, RecoveryError
 from repro.instrument import InstrumentationLibrary, TrackerConfig
 from repro.mem import AddressSpace
 from repro.mpi import MPIJob
@@ -50,7 +51,8 @@ def test_restart_restores_and_continues():
     # second life: fresh engine and cluster, resumed from the store
     engine2 = Engine()
     app2 = SyntheticApp(SPEC, n_iterations=3)
-    coordinator = RestartCoordinator(ckpt.store, app2)
+    coordinator = RestartCoordinator(
+        app2, RecoveryManager(ckpt.store).recovery_chains())
     job2 = coordinator.restart(engine2)
     lib2 = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job2)
 
@@ -83,8 +85,9 @@ def test_restart_to_earlier_sequence():
     assert len(committed) >= 2
     engine2 = Engine()
     app2 = SyntheticApp(SPEC, n_iterations=1)
-    coordinator = RestartCoordinator(ckpt.store, app2)
-    job2 = coordinator.restart(engine2, seq=committed[0])
+    coordinator = RestartCoordinator(
+        app2, RecoveryManager(ckpt.store).recovery_chains(seq=committed[0]))
+    job2 = coordinator.restart(engine2)
     restored_sigs = {}
     coordinator.launch(job2, on_restored=lambda ctx: restored_sigs.__setitem__(
         ctx.rank, ctx.memory.state_signature()))
@@ -94,29 +97,73 @@ def test_restart_to_earlier_sequence():
 
 
 def test_restart_requires_commit():
+    # nothing committed: there is no chain to restart from
     store = CheckpointStore(2)
-    app = SyntheticApp(SPEC, n_iterations=1)
-    coordinator = RestartCoordinator(store, app)
-    with pytest.raises(RecoveryError):
-        coordinator.restart(Engine())
+    with pytest.raises(RecoveryError, match="no committed"):
+        RecoveryManager(store).recovery_chains()
 
 
-def test_restart_rank_count_must_match():
+def test_restart_builds_one_rank_per_chain():
     app, ckpt, _ = run_until_failure()
-    coordinator = RestartCoordinator(ckpt.store, app)
-    with pytest.raises(RecoveryError):
-        coordinator.restart(Engine(), nranks=4)
+    chains = RecoveryManager(ckpt.store).recovery_chains()
+    job = RestartCoordinator(app, chains).restart(Engine())
+    assert job.nranks == ckpt.store.nranks == len(chains)
 
 
-def test_launch_before_restart_raises_recovery_error():
-    # launch() resumes at the sequence restart() chose; without one it
-    # must refuse clearly rather than fail on a missing attribute
+def test_resume_bodies_apply_the_given_chain_objects(monkeypatch):
+    # launch() applies exactly the checkpoints it was handed: no second
+    # read of the store behind the caller's back
     app, ckpt, _ = run_until_failure()
-    coordinator = RestartCoordinator(ckpt.store, app)
+    chains = RecoveryManager(ckpt.store).recovery_chains()
+    applied = {}
+
+    def spy(memory, chain, strict=True):
+        applied[memory] = chain
+        return apply_chain(memory, chain, strict=strict)
+
+    monkeypatch.setattr(restart_mod, "apply_chain", spy)
+    monkeypatch.setattr(RecoveryManager, "recovery_chain", None)
     engine = Engine()
-    job = MPIJob(engine, 2, process_factory=app.process_factory(engine))
-    with pytest.raises(RecoveryError, match="restart"):
-        coordinator.launch(job)
+    app2 = SyntheticApp(SPEC, n_iterations=1)
+    coordinator = RestartCoordinator(app2, chains)
+    job = coordinator.restart(engine)
+    coordinator.launch(job)
+    engine.run(detect_deadlock=True)
+    assert len(applied) == 2
+    for rank, proc in enumerate(job.processes):
+        assert applied[proc.memory] is chains[rank]
+
+
+def flipped_store():
+    """A store whose newest committed piece of rank 1 has a flipped bit
+    (the recorded digest is left as it was)."""
+    app, ckpt, _ = run_until_failure()
+    seq = ckpt.store.latest_committed()
+    assert ckpt.store.flip_bits(1, seq, nbits=4) is not None
+    return app, ckpt.store, seq
+
+
+def test_verified_standalone_read_refuses_a_flipped_piece():
+    app, store, seq = flipped_store()
+    manager = RecoveryManager(store, layout=app.layout)
+    with pytest.raises(CorruptionError, match="digest-mismatch"):
+        manager.restore_all()
+    # the standalone restart path takes its chains from the same read
+    with pytest.raises(CorruptionError, match=f"rank 1 cannot recover to "
+                                              f"seq {seq}"):
+        RestartCoordinator(app, manager.recovery_chains())
+    # the other rank's chain is untouched and still verifies
+    assert manager.recovery_chain(0)[-1].seq == seq
+
+
+def test_unverified_standalone_read_returns_the_stored_chain():
+    app, store, seq = flipped_store()
+    manager = RecoveryManager(store, verify_integrity=False)
+    chain = manager.recovery_chain(1)
+    stored = store.chain(1, upto_seq=seq)
+    assert len(chain) == len(stored) and chain[-1].seq == seq
+    assert all(c is p.payload for c, p in zip(chain, stored))
+    assert not store.verify_chain(1, upto_seq=seq).intact
 
 
 def test_apply_chain_recreates_transient_mmaps():

@@ -17,7 +17,6 @@ capture is forced full so its chain re-heads.
 from repro.apps.synthetic import small_spec
 from repro.cluster.experiment import ExperimentConfig
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
-from repro.mem import AddressSpace
 
 SPEC = small_spec(name="middrain", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -51,8 +50,8 @@ def test_drain_window_is_open_at_the_fault_time():
 
 def test_crash_mid_drain_recovers_from_last_committed_seq():
     plan = FaultPlan([FaultEvent(CAPTURE_T + 0.02, FaultKind.CRASH, 1)])
-    # verify=True (the default) makes the driver raise RecoveryError if
-    # the restore is not bit-identical to the captured state
+    # the driver raises RecoveryError if the restore is not
+    # bit-identical to the captured state
     res = run_with_failures(CONFIG, plan, interval_slices=INTERVAL,
                             full_every=3, ckpt_transport="network")
     assert len(res.failures) == 1
@@ -77,7 +76,7 @@ def test_crash_mid_drain_recovers_from_last_committed_seq():
     assert set(restored) == set(range(CONFIG.nranks))
     for rank, sig in restored.items():
         want = ref_sigs[(rank, rec.recovered_seq)]
-        assert AddressSpace.signatures_equal(sig, want), rank
+        assert sig == want, rank
 
 
 def test_disk_fault_mid_drain_poisons_sequence_and_forces_full():

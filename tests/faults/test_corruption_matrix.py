@@ -28,7 +28,6 @@ from repro.apps.synthetic import small_spec
 from repro.cluster.experiment import ExperimentConfig
 from repro.errors import RecoveryError
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
-from repro.mem import AddressSpace
 
 SPEC = small_spec(name="matrix", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -97,8 +96,7 @@ def test_matrix_detects_and_recovers_bit_identical(kind, seq, t_corrupt,
         restored = res.restored_signatures[0]
         assert set(restored) == set(range(CONFIG.nranks))
         for rank, sig in restored.items():
-            assert AddressSpace.signatures_equal(
-                sig, ref_sigs[(rank, want_seq)]), (kind, rank, want_seq)
+            assert sig == ref_sigs[(rank, want_seq)], (kind, rank, want_seq)
     assert res.metrics.corruptions_detected == len(res.corruptions)
     assert res.metrics.integrity_walkbacks == len(rejected)
 
@@ -228,8 +226,7 @@ def test_dcp_matrix_detects_and_recovers_bit_identical(kind, seq, t_corrupt,
         restored = res.restored_signatures[0]
         assert set(restored) == set(range(DCP_CONFIG.nranks))
         for rank, sig in restored.items():
-            assert AddressSpace.signatures_equal(
-                sig, ref_sigs[(rank, want_seq)]), (kind, rank, want_seq)
+            assert sig == ref_sigs[(rank, want_seq)], (kind, rank, want_seq)
     assert res.metrics.corruptions_detected == len(res.corruptions)
     assert res.metrics.integrity_walkbacks == len(rejected)
 

@@ -10,7 +10,6 @@ from repro.cluster.experiment import run_with_failures as experiment_entry
 from repro.errors import FaultPlanError, RecoveryError
 from repro.faults import (FaultEvent, FaultInjector, FaultKind, FaultPlan,
                           FailureRecoveryDriver, run_with_failures)
-from repro.mem import AddressSpace
 
 # sub_bursts=1 keeps the write pattern free of cross-iteration cursor
 # state, so a restarted rank replays exactly the reference writes
@@ -59,8 +58,7 @@ def test_two_rank_kill_recovers_bit_identical_to_failure_free_run():
         assert set(restored) == set(range(CONFIG.nranks))
         for rank, sig in restored.items():
             want = ref_sigs[(rank, rec.recovered_seq)]
-            assert AddressSpace.signatures_equal(sig, want), \
-                (rank, rec.recovered_seq)
+            assert sig == want, (rank, rec.recovered_seq)
 
     # accounting invariants
     for rec in res.failures:
@@ -88,8 +86,7 @@ def test_seeded_plan_kills_two_ranks_and_recovers_bit_identical():
         if rec.recovery_life != 0 or rec.recovered_seq is None:
             continue  # later lives are verified by the driver itself
         for rank, sig in restored.items():
-            assert AddressSpace.signatures_equal(
-                sig, ref_sigs[(rank, rec.recovered_seq)])
+            assert sig == ref_sigs[(rank, rec.recovered_seq)]
         compared += 1
     assert compared >= 2
 

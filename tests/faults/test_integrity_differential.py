@@ -16,7 +16,6 @@ import pytest
 from repro.apps.synthetic import small_spec
 from repro.cluster.experiment import ExperimentConfig
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
-from repro.mem import AddressSpace
 
 SPEC = small_spec(name="diff", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -64,7 +63,7 @@ def test_integrity_on_without_corruption_is_bit_identical():
     for sa, sb in zip(on.restored_signatures, off.restored_signatures):
         assert set(sa) == set(sb)
         for rank in sa:
-            assert AddressSpace.signatures_equal(sa[rank], sb[rank])
+            assert sa[rank] == sb[rank]
 
 
 def test_clean_run_without_faults_is_bit_identical_too():

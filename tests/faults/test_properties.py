@@ -19,7 +19,6 @@ from repro.apps.synthetic import small_spec
 from repro.checkpoint.recovery import RecoveryManager
 from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
-from repro.mem import AddressSpace
 
 SPEC = small_spec(name="prop", footprint_mb=6, main_mb=3, period=1.0,
                   passes=1.5, comm_mb=0.25, sub_bursts=1)
@@ -70,7 +69,7 @@ def test_single_fault_recovery_invariants(fail_time, victim, kind,
     ref = reference(2, full_every)
     for rank, sig in res.restored_signatures[0].items():
         want = ref.lives[0].signatures[(rank, rec.recovered_seq)]
-        assert AddressSpace.signatures_equal(sig, want)
+        assert sig == want
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),

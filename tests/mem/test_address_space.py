@@ -242,6 +242,26 @@ def test_state_signature_equality():
     assert not AddressSpace.signatures_equal(sig1, b.state_signature())
 
 
+def test_state_digest_tracks_the_signature():
+    # the driver's restore check compares digests: equal exactly when
+    # the signatures are equal, whatever order the mmaps were made in
+    a = make_space()
+    b = make_space()
+    d1 = a.state_digest()
+    assert len(d1) == 32 and d1 == b.state_digest()
+    a.cpu_write(a.data.base, PS)
+    assert a.state_digest() != d1
+    b.cpu_write(b.data.base, PS)
+    assert a.state_digest() == b.state_digest()
+    first, second = a.mmap(2 * PS), a.mmap(3 * PS)
+    b.mmap_fixed(second.base, 3 * PS)
+    assert a.state_digest() != b.state_digest()
+    b.mmap_fixed(first.base, 2 * PS)
+    assert AddressSpace.signatures_equal(a.state_signature(),
+                                         b.state_signature())
+    assert a.state_digest() == b.state_digest()
+
+
 def test_read_checks_mapping_only():
     asp = make_space()
     asp.protect_data()
