@@ -12,7 +12,9 @@ The engine rides the instrumentation seams:
 - it observes every timeslice (before the tracker resets the dirty set)
   to accumulate each rank's delta;
 - every ``interval_slices``-th slice it captures -- a full checkpoint
-  every ``full_every`` captures, incremental otherwise;
+  every ``full_every`` captures, incremental otherwise -- and, when it
+  keeps payloads, records the captured space's state digest, which
+  every restore from that piece must reproduce;
 - each capture is written to that rank's storage (per-node disk by
   default; pass a factory for shared arrays or ramdisk-style diskless
   checkpointing).
@@ -20,7 +22,7 @@ The engine rides the instrumentation seams:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 from repro.checkpoint.cow import CowWriteout
@@ -170,13 +172,17 @@ class CheckpointEngine:
         n = self._captures[rank]
         self._captures[rank] = n + 1
         now = self.job.engine.now
+        memory = tracker.process.memory
         if n % self.full_every == 0 or rank in self._force_full:
-            ckpt = self._full.capture(tracker.process.memory, seq,
-                                      taken_at=now)
+            ckpt = self._full.capture(memory, seq, taken_at=now)
             inc.mark_baseline()
             self._force_full.discard(rank)
         else:
             ckpt = inc.capture(seq, taken_at=now)
+        if self.keep_payloads:
+            # only a kept piece can head a restore, which must reproduce
+            # exactly this state (see recovery.apply_chain)
+            ckpt = replace(ckpt, state_digest=memory.state_digest())
         obs = self.job.engine.obs
         if obs.enabled:
             cache = self._obs_cache

@@ -4,9 +4,10 @@ Replay walks the chain oldest-to-newest, evolving a per-segment version
 map: geometry records grow/shrink/drop segments (new pages arrive
 zeroed, exactly like the kernel's zero-fill), payloads stamp saved unit
 versions and bytes.  The final state is materialized into a fresh
-:class:`~repro.mem.AddressSpace` whose content signature must equal the
-original's at capture time -- the correctness property the test suite
-checks exhaustively.
+:class:`~repro.mem.AddressSpace` (or stamped over a live one) whose
+content signature must equal the original's at capture time.  Every
+restore checks that itself when the chain head carries the state digest
+recorded at capture (:attr:`Checkpoint.state_digest`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.checkpoint.snapshot import Checkpoint, SegmentRecord
 from repro.errors import CorruptionError, RecoveryError
-from repro.mem import AddressSpace, Layout, SegmentKind
+from repro.mem import AddressSpace, Layout
 from repro.storage import CheckpointStore
 from repro.storage.integrity import verify_chain
 
@@ -90,17 +91,15 @@ def restore_address_space(chain: Sequence[Checkpoint],
 
     Chains captured under the bytes backend restore real page contents
     (the new space gets ``store_contents=True``); signature-only chains
-    restore version arrays.
+    restore version arrays.  Checked like :func:`apply_chain`.
     """
     state = replay_chain(chain)
-    by_kind: dict[str, list[tuple]] = {}
-    has_bytes = False
-    for rec, versions, content in state.values():
-        by_kind.setdefault(rec.kind, []).append((rec, versions, content))
-        has_bytes = has_bytes or content is not None
-    for kind in ("data", "bss", "heap"):
-        if len(by_kind.get(kind, [])) > 1:
-            raise RecoveryError(f"chain holds multiple {kind} segments")
+    npages: dict[str, int] = {}
+    for rec, _, _ in state.values():
+        if rec.kind in ("data", "bss", "heap"):
+            if rec.kind in npages:
+                raise RecoveryError(f"chain holds multiple {rec.kind} segments")
+            npages[rec.kind] = rec.npages
 
     layout = layout or Layout()
     page_size = layout.page_size
@@ -108,45 +107,15 @@ def restore_address_space(chain: Sequence[Checkpoint],
         raise RecoveryError(
             f"layout page size {page_size} != checkpoint page size "
             f"{chain[0].page_size}")
-
-    def only(kind: str) -> Optional[tuple]:
-        entries = by_kind.get(kind, [])
-        return entries[0] if entries else None
-
-    data = only("data")
-    bss = only("bss")
-    heap = only("heap")
     asp = AddressSpace(
         layout,
-        data_size=(data[0].npages if data else 0) * page_size,
-        bss_size=(bss[0].npages if bss else 0) * page_size,
-        store_contents=has_bytes)
-    if heap is not None and heap[0].npages:
-        asp.sbrk(heap[0].npages * page_size)
-
-    targets: list[tuple] = []
-    if data is not None:
-        targets.append((asp.data, data[1], data[2]))
-    if bss is not None:
-        targets.append((asp.bss, bss[1], bss[2]))
-    if heap is not None:
-        targets.append((asp.heap, heap[1], heap[2]))
-    for rec, versions, content in sorted(by_kind.get("mmap", []),
-                                         key=lambda e: e[0].base):
-        seg = asp.mmap_fixed(rec.base, rec.npages * page_size)
-        targets.append((seg, versions, content))
-
-    max_version = 0
-    for seg, src, content in targets:
-        if seg.npages != len(src):
-            raise RecoveryError("restored segment size mismatch")
-        seg.pages.versions[:] = src
-        if content is not None and seg.contents is not None:
-            seg.contents[:] = content.tobytes()
-        if len(src):
-            max_version = max(max_version, int(src.max()))
-    # future writes must not reuse version numbers already on the pages
-    asp._version = max(asp._version, max_version)
+        data_size=npages.get("data", 0) * page_size,
+        bss_size=npages.get("bss", 0) * page_size,
+        store_contents=any(content is not None
+                           for _, _, content in state.values()))
+    if npages.get("heap"):
+        asp.sbrk(npages["heap"] * page_size)
+    _overlay(asp, chain[-1], state, strict=True)
     return asp
 
 
@@ -164,49 +133,66 @@ def apply_chain(memory: AddressSpace, chain: Sequence[Checkpoint],
     restore): checkpoints taken while transient allocations were live
     restore those allocations too, which is what makes the restored
     address space bit-identical to the captured one.
+
+    A strict overlay is then checked: when the chain head recorded the
+    captured space's state digest, the restored space must reproduce
+    it, or :class:`~repro.errors.RecoveryError` is raised -- a silently
+    corrupted piece restored without integrity verification is caught
+    here, before anything runs on it.
     """
     state = replay_chain(chain)
-    by_key = {(rec.kind, rec.base): (rec, versions, content)
-              for rec, versions, content in state.values()}
-    live_keys = set()
-    max_version = memory._version
+    _overlay(memory, chain[-1], state, strict)
+
+
+def _overlay(memory: AddressSpace, head: Checkpoint,
+             state: dict[int, tuple[SegmentRecord, np.ndarray,
+                                    Optional[np.ndarray]]],
+             strict: bool) -> None:
+    """Stamp replayed ``state`` over ``memory`` (see :func:`apply_chain`),
+    ``head`` being the chain's newest checkpoint."""
+    by_key = {(entry[0].kind, entry[0].base): entry
+              for entry in state.values()}
+    stamps = []
     for seg in memory.data_segments():
-        key = (seg.kind.value, seg.base)
-        live_keys.add(key)
-        entry = by_key.get(key)
+        entry = by_key.pop((seg.kind.value, seg.base), None)
         if entry is None:
             if strict and seg.npages > 0:
                 raise RecoveryError(
                     f"live segment {seg.name!r} at {seg.base:#x} has no "
                     "counterpart in the checkpoint chain")
             continue
-        rec, versions, content = entry
-        if rec.npages != seg.npages:
+        if entry[0].npages != seg.npages:
             raise RecoveryError(
                 f"segment {seg.name!r}: live size {seg.npages} pages != "
-                f"checkpointed {rec.npages}")
+                f"checkpointed {entry[0].npages}")
+        stamps.append((seg, entry))
+    if strict:
+        missing = sorted(key for key, entry in by_key.items()
+                         if entry[0].npages > 0)
+        static_missing = [key for key in missing if key[0] != "mmap"]
+        if static_missing:
+            raise RecoveryError(
+                f"checkpoint chain has segments the live process lacks: "
+                f"{static_missing}")
+        for key in missing:
+            rec = by_key[key][0]
+            stamps.append((memory.mmap_fixed(rec.base,
+                                             rec.npages * memory.page_size),
+                           by_key[key]))
+    max_version = memory._version
+    for seg, (_, versions, content) in stamps:
         seg.pages.versions[:] = versions
         if content is not None and seg.contents is not None:
             seg.contents[:] = content.tobytes()
         if len(versions):
             max_version = max(max_version, int(versions.max()))
-    if strict:
-        missing = set(by_key) - live_keys
-        missing = {k for k in missing if by_key[k][0].npages > 0}
-        static_missing = {k for k in missing if k[0] != "mmap"}
-        if static_missing:
-            raise RecoveryError(
-                f"checkpoint chain has segments the live process lacks: "
-                f"{sorted(static_missing)}")
-        for kind, base in sorted(missing):
-            rec, versions, content = by_key[(kind, base)]
-            seg = memory.mmap_fixed(base, rec.npages * memory.page_size)
-            seg.pages.versions[:] = versions
-            if content is not None and seg.contents is not None:
-                seg.contents[:] = content.tobytes()
-            if len(versions):
-                max_version = max(max_version, int(versions.max()))
+    # future writes must not reuse version numbers already on the pages
     memory._version = max_version
+    if (strict and head.state_digest is not None
+            and memory.state_digest() != head.state_digest):
+        raise RecoveryError(
+            f"restored state differs from the checkpoint captured at seq "
+            f"{head.seq}")
 
 
 def estimated_restore_time(chain: Sequence[Checkpoint],

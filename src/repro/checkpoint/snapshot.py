@@ -7,7 +7,9 @@ A checkpoint carries
   follow a segment through growth and shrink), and
 - *payloads*: per segment, the indices of saved units and their content
   (64-bit write-version signatures standing in for the bytes -- see
-  DESIGN.md on content signatures).
+  DESIGN.md on content signatures), and
+- optionally the captured space's *state digest*, which every restore
+  from a chain ending at this checkpoint checks itself against.
 
 A unit is a fixed-size block of ``block_size`` bytes; block ``i`` of a
 segment covers bytes ``[i * block_size, (i + 1) * block_size)``.  The
@@ -81,6 +83,11 @@ class Checkpoint:
     #: unit granularity (bytes); None means ``page_size``.  Kind
     #: ``"dcp"`` holds exactly when ``block_size < page_size``.
     block_size: int | None = None
+    #: :meth:`~repro.mem.AddressSpace.state_digest` of the captured
+    #: space at capture time: what a restore from a chain ending here
+    #: must reproduce.  None when nobody recorded it (the restore is
+    #: then unchecked).  Not covered by the stored piece digest.
+    state_digest: bytes | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "incremental", "dcp"):

@@ -19,7 +19,8 @@ the simulated fabric instead:
 ``diskless``
     Frames cross the fabric to a *buddy rank's* receive link (incast
     with application traffic on that node) and land in the buddy's
-    memory at memcpy speed (:meth:`~repro.storage.DisklessSink.ingest`).
+    memory at memcpy speed
+    (:meth:`~repro.storage.DisklessSink.reserve_ingest`).
 
 Every rank owns a bounded drain queue.  Bytes enter at capture and
 leave at frame durability; the invariant ``enqueued == drained +

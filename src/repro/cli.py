@@ -79,6 +79,11 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_floats(text: str) -> list[float]:
+    """argparse type for a comma-separated list of positive values."""
+    return [_positive_float(t) for t in text.split(",") if t]
+
+
 def _nonneg_float(text: str) -> float:
     """argparse type for flags that need a value >= 0."""
     value = float(text)
@@ -169,8 +174,8 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one instrumented experiment")
     run.add_argument("--app", required=True, choices=sorted(PAPER_APPS))
-    run.add_argument("--timeslice", type=float, default=1.0)
-    run.add_argument("--ranks", type=int, default=4)
+    run.add_argument("--timeslice", type=_positive_float, default=1.0)
+    run.add_argument("--ranks", type=_positive_int, default=4)
     run.add_argument("--duration", type=_positive_float, default=None,
                      help="simulated seconds after initialization")
     run.add_argument("--save-trace", metavar="DIR", default=None,
@@ -199,9 +204,10 @@ def _parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="IB vs timeslice for one app")
     sweep.add_argument("--app", required=True, choices=sorted(PAPER_APPS))
-    sweep.add_argument("--timeslices", default="1,2,5,10,15,20",
+    sweep.add_argument("--timeslices", type=_positive_floats,
+                       default="1,2,5,10,15,20",
                        help="comma-separated seconds")
-    sweep.add_argument("--ranks", type=int, default=2)
+    sweep.add_argument("--ranks", type=_positive_int, default=2)
     sweep.add_argument("--duration", type=_positive_float, default=None,
                        help="simulated seconds after initialization")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
@@ -216,7 +222,7 @@ def _parser() -> argparse.ArgumentParser:
 
     feas = sub.add_parser("feasibility",
                           help="full Table 4 + section 6.3 verdicts")
-    feas.add_argument("--ranks", type=int, default=2)
+    feas.add_argument("--ranks", type=_positive_int, default=2)
     feas.add_argument("--years", type=int, default=6,
                       help="trend-extrapolation horizon")
 
@@ -232,7 +238,7 @@ def _parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report",
                          help="regenerate the full reproduction report")
     rep.add_argument("--out", required=True, metavar="DIR")
-    rep.add_argument("--ranks", type=int, default=2)
+    rep.add_argument("--ranks", type=_positive_int, default=2)
     rep.add_argument("--quick", action="store_true",
                      help="smaller sweeps (seconds instead of ~a minute)")
 
@@ -429,8 +435,7 @@ def cmd_sweep(args, out) -> int:
 
     from repro.exec import default_cache
 
-    timeslices = [float(t) for t in args.timeslices.split(",") if t]
-    if not timeslices:
+    if not args.timeslices:
         print("no timeslices given", file=sys.stderr)
         return 2
     if args.jobs > 1 and args.profile_out:
@@ -444,7 +449,7 @@ def cmd_sweep(args, out) -> int:
                           run_duration=args.duration)
     obs = _make_obs(args)
     t0 = time.perf_counter()
-    results = sweep_timeslices(config, timeslices, jobs=args.jobs,
+    results = sweep_timeslices(config, args.timeslices, jobs=args.jobs,
                                cache=cache, obs=obs)
     elapsed = time.perf_counter() - t0
     _finish_obs(obs, args, out)
@@ -529,7 +534,7 @@ def cmd_ckpt_verify(args, out) -> int:
 
 def cmd_faults_run(args, out) -> int:
     """``faults run``: one fault-injection experiment with recovery."""
-    from repro.errors import ConfigurationError, FaultPlanError
+    from repro.errors import ConfigurationError, FaultPlanError, RecoveryError
     from repro.faults import FaultPlan, run_with_failures
     from repro.feasibility import FailureModel, observed_efficiency, \
         predicted_vs_observed
@@ -576,14 +581,17 @@ def cmd_faults_run(args, out) -> int:
             print(f"bad --corrupt spec: {exc}", file=sys.stderr)
             return 2
     obs = _make_obs(args)
-    result = run_with_failures(config, plan,
-                               interval_slices=args.interval,
-                               full_every=args.full_every,
-                               detection_latency=args.detect_latency,
-                               verify_integrity=not args.no_verify_integrity,
-                               integrity_bandwidth=args.integrity_bandwidth,
-                               ckpt_transport=args.ckpt_transport,
-                               obs=obs)
+    try:
+        result = run_with_failures(
+            config, plan, interval_slices=args.interval,
+            full_every=args.full_every,
+            detection_latency=args.detect_latency,
+            verify_integrity=not args.no_verify_integrity,
+            integrity_bandwidth=args.integrity_bandwidth,
+            ckpt_transport=args.ckpt_transport, obs=obs)
+    except RecoveryError as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        return 1
     _finish_obs(obs, args, out)
     metrics = result.metrics
     print(f"{args.app}: {len(plan)} planned fault(s), "

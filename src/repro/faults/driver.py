@@ -26,12 +26,13 @@ lands it
    checkpoint.
 
 Determinism: the same config and plan produce bit-identical traces,
-failure records, and metrics on every run.  The driver also asserts, at
-every restore, that the rebuilt address spaces are bit-identical to the
-state the failed run held at the recovered checkpoint's capture instant
-(their :meth:`~repro.mem.AddressSpace.state_digest` values match) --
-which, because faults have no effect before they fire, is exactly the
-state of a failure-free run at the same logical time.
+failure records, and metrics on every run.  Every restore also checks
+itself: each rebuilt address space must reproduce the state digest the
+recovered checkpoint recorded at capture
+(:func:`~repro.checkpoint.recovery.apply_chain` raises
+:class:`~repro.errors.RecoveryError` otherwise) -- which, because faults
+have no effect before they fire, is exactly the state of a failure-free
+run at the same logical time.
 """
 
 from __future__ import annotations
@@ -68,12 +69,9 @@ class LifeResult:
     logs: dict[int, TraceLog]
     store: CheckpointStore
     committed: list[GlobalCheckpoint]
-    #: state digest snapped at each capture boundary: (rank, seq) -> digest
-    signatures: dict[tuple[int, int], bytes] = field(repr=False,
-                                                     default_factory=dict)
-    #: absolute useful progress (seconds) at each capture boundary
-    progress_at: dict[int, float] = field(default_factory=dict)
     iterations: int = 0
+    #: when rank 0 began its first iteration; None if it never did
+    iteration_start: Optional[float] = None
     #: (life index, seq) this life was restored from; None for a fresh start
     restored_from: Optional[tuple[int, int]] = None
     #: absolute useful progress already banked when this life started
@@ -93,9 +91,6 @@ class FaultRunResult:
     failures: list[FailureRecord]
     #: chains that failed integrity verification during recovery scans
     corruptions: list[CorruptionDetected] = field(default_factory=list)
-    #: per failure: the restored address-space digests {rank: digest}
-    restored_signatures: list[dict[int, bytes]] = field(repr=False,
-                                                        default_factory=list)
     final_time: float = 0.0
 
     @property
@@ -140,7 +135,7 @@ class FailureRecoveryDriver:
         self.read_bandwidth = read_bandwidth
         #: verify chain integrity before trusting a committed checkpoint
         #: (off reproduces the pre-integrity driver: corruption restores
-        #: garbage and the restore-time digest check is what catches it)
+        #: garbage and the restore's own state-digest check catches it)
         self.verify_integrity = verify_integrity
         #: when set, charge digest recomputation at this bandwidth (B/s)
         #: into restore time; None keeps restore costs bit-identical to
@@ -227,7 +222,6 @@ class FailureRecoveryDriver:
                           progress_before=progress_before)
         if self.obs.enabled and self.obs.progress is not None:
             self.obs.progress.on_life(index, t_start)
-        self._install_probe(job, library, app, life, progress_before)
         injector = FaultInjector(job, self.plan, disk_resolver=ckpt.disk,
                                  store=ckpt.store, stop_on_fatal=True)
         injector.arm()
@@ -244,31 +238,8 @@ class FailureRecoveryDriver:
 
         if restored_from is None:
             procs = job.launch(app.make_body())
-            if index > 0:
-                # from-scratch restart: nothing was restored
-                result.restored_signatures.append({})
         else:
-            # the headline guarantee, enforced at runtime: each restored
-            # address space must be bit-identical to the one the serving
-            # life held when the recovered checkpoint was captured
-            src_life, seq = restored_from
-            captured = result.lives[src_life].signatures
-            restored: dict[int, bytes] = {}
-
-            def on_restored(ctx):
-                digest = restored[ctx.rank] = ctx.memory.state_digest()
-                if digest != captured[(ctx.rank, seq)]:
-                    # a poisoned restore kills this rank before the
-                    # restart barrier; without a halt the surviving
-                    # ranks would checkpoint forever against a
-                    # barrier that can never complete
-                    engine.stop()
-                    raise RecoveryError(
-                        f"rank {ctx.rank} restored state differs from the "
-                        f"checkpoint captured at seq {seq} (life {src_life})")
-
-            procs = coordinator.launch(job, on_restored=on_restored)
-            result.restored_signatures.append(restored)
+            procs = coordinator.launch(job)
 
         self._drive(engine, injector, procs)
         for p in procs:
@@ -280,8 +251,11 @@ class FailureRecoveryDriver:
         life.committed = ckpt.committed()
         life.write_failures = list(ckpt.write_failures)
         life.transport_stats = ckpt.transport_stats()
-        life.iterations = (app.contexts[0].iterations
-                           if app.contexts else 0)
+        if app.contexts:
+            rc0 = app.contexts[0]
+            life.iterations = rc0.iterations
+            if rc0.iteration_starts:
+                life.iteration_start = rc0.iteration_starts[0]
         if self.obs.enabled:
             engine.publish_metrics(self.obs.metrics,
                                    prefix=f"sim.engine.life{index}")
@@ -295,8 +269,6 @@ class FailureRecoveryDriver:
                                 iterations=life.iterations)
         self._life_complete = not self._needs_recovery(injector, procs)
         self._life_injector = injector
-        self._life_ckpt = ckpt
-        self._life_app = app
         return life
 
     def _drive(self, engine: Engine, injector: FaultInjector,
@@ -318,38 +290,6 @@ class FailureRecoveryDriver:
     def _needs_recovery(injector: FaultInjector, procs: list) -> bool:
         """A fatal fault landed while the job still had work in flight."""
         return injector.fatal_delivered and any(p.alive for p in procs)
-
-    # -- probes -------------------------------------------------------------
-
-    def _install_probe(self, job: MPIJob, library: InstrumentationLibrary,
-                       app: ScientificApplication, life: LifeResult,
-                       progress_before: float) -> None:
-        """Snapshot state digests and useful progress at every capture
-        boundary, *before* the checkpoint engine's listener runs (same
-        instant, identical state)."""
-        interval = self.interval_slices
-
-        def install(ctx):
-            tracker = library.tracker(ctx.rank)
-
-            def probe(record, trk, rank=ctx.rank):
-                if (record.index + 1) % interval != 0:
-                    return
-                seq = record.index
-                life.signatures[(rank, seq)] = \
-                    trk.process.memory.state_digest()
-                if rank == 0:
-                    rc0 = app.contexts[0] if app.contexts else None
-                    if rc0 is not None and rc0.iteration_starts:
-                        useful = max(0.0, record.t_end
-                                     - rc0.iteration_starts[0])
-                    else:
-                        useful = 0.0
-                    life.progress_at[seq] = progress_before + useful
-
-            tracker.slice_listeners.insert(0, probe)
-
-        job.init_hooks.append(install)
 
     # -- recovery -----------------------------------------------------------
 
@@ -379,8 +319,10 @@ class FailureRecoveryDriver:
                 estimated_restore_time(
                     chain, bw, verify_bandwidth=self.integrity_bandwidth)
                 for chain in chains.values())
-            progress_restored = result.lives[recovery_life].progress_at.get(
-                recovered_seq, 0.0)
+            served = result.lives[recovery_life]
+            progress_restored = self._progress_at(
+                served, next(gc.requested_at for gc in served.committed
+                             if gc.seq == recovered_seq))
         lost_work = max(0.0, progress_at_fail - progress_restored)
         downtime = self.detection_latency + restore_time
         restarted_at = t_fail + downtime
@@ -473,14 +415,13 @@ class FailureRecoveryDriver:
             self.obs.metrics.counter("ckpt.integrity.walkbacks").inc()
         return intact
 
-    def _progress_at(self, life: LifeResult, t: float) -> float:
-        """Absolute useful progress the failed life had reached at ``t``:
-        what it inherited at restore, plus iteration time since."""
-        app = self._life_app
-        rc0 = app.contexts[0] if app.contexts else None
-        if rc0 is not None and rc0.iteration_starts:
-            return life.progress_before + max(0.0, t - rc0.iteration_starts[0])
-        return life.progress_before
+    @staticmethod
+    def _progress_at(life: LifeResult, t: float) -> float:
+        """Absolute useful progress a life had reached at ``t``: what it
+        inherited at restore, plus iteration time since."""
+        if life.iteration_start is None:
+            return life.progress_before
+        return life.progress_before + max(0.0, t - life.iteration_start)
 
 
 def run_with_failures(config: ExperimentConfig,

@@ -48,17 +48,14 @@ class DisklessSink:
         done_at = self._take(nbytes, "write", self.link.latency
                              + nbytes / self.link.bandwidth
                              + nbytes / self.memcpy_bandwidth)
-        return self._future("write", done_at)
-
-    def ingest(self, nbytes: int) -> Future:
-        """Deposit ``nbytes`` that already crossed the fabric (the
-        checkpoint transport simulated the wire itself): charge only the
-        memcpy into the buddy's memory plus capacity."""
-        done_at, _ = self.reserve_ingest(nbytes)
-        return self._future("ingest", done_at)
+        fut = Future(self.engine, label=f"{self.name}.write#{self.ops}")
+        self.engine.schedule_at(done_at, fut.resolve, done_at)
+        return fut
 
     def reserve_ingest(self, nbytes: int) -> tuple[float, bool]:
-        """The accounting of :meth:`ingest` without a future or an
+        """Deposit ``nbytes`` that already crossed the fabric (the
+        checkpoint transport simulated the wire itself): charge only the
+        memcpy into the buddy's memory plus capacity.  No future or
         event: returns ``(done_at, ok)`` for the caller to schedule its
         own completion (``ok`` is always True; memory does not fail)."""
         return self._take(nbytes, "ingest",
@@ -80,11 +77,6 @@ class DisklessSink:
         self.bytes_held += nbytes
         self.ops += 1
         return done_at
-
-    def _future(self, op: str, done_at: float) -> Future:
-        fut = Future(self.engine, label=f"{self.name}.{op}#{self.ops}")
-        self.engine.schedule_at(done_at, fut.resolve, done_at)
-        return fut
 
     def release(self, nbytes: int) -> None:
         """Retire ``nbytes`` of old checkpoints from the buddy's memory."""

@@ -109,6 +109,31 @@ def test_recovery_restores_exact_state():
             f"rank {rank} restored state differs at seq {seq}"
 
 
+@pytest.mark.parametrize("keep_payloads", [True, False])
+def test_state_digest_recorded_exactly_when_payloads_are_kept(
+        keep_payloads, monkeypatch):
+    # a kept piece can head a restore, so it carries the digest that
+    # restore must reproduce; a dropped payload costs no digest at all
+    taken = []
+    real = AddressSpace.state_digest
+
+    def counting(self):
+        taken.append(real(self))
+        return taken[-1]
+
+    monkeypatch.setattr(AddressSpace, "state_digest", counting)
+    eng, app, job, lib, ckpt = run_checkpointed(keep_payloads=keep_payloads)
+    pieces = [o for rank in range(2) for o in ckpt.store.pieces(rank)]
+    assert pieces
+    if keep_payloads:
+        recorded = [o.payload.state_digest for o in pieces]
+        assert None not in recorded
+        assert sorted(recorded) == sorted(taken)
+    else:
+        assert all(o.payload is None for o in pieces)
+        assert taken == []
+
+
 def test_recovery_to_specific_sequence():
     eng, app, job, lib, ckpt = run_checkpointed(n_iterations=6)
     committed = ckpt.committed()

@@ -24,50 +24,40 @@ def run_until_failure(fail_at=5.25):
     job = MPIJob(engine, 2, process_factory=app.process_factory(engine))
     lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
     ckpt = CheckpointEngine(job, lib, interval_slices=2, full_every=4)
-    reference = {}
-
-    def install_snap(ctx):
-        tracker = lib.tracker(ctx.rank)
-
-        def snap(record, trk, r=ctx.rank):
-            if (record.index + 1) % 2 == 0:
-                reference[(r, record.index)] = \
-                    trk.process.memory.state_signature()
-
-        tracker.slice_listeners.insert(0, snap)
-
-    job.init_hooks.append(install_snap)
     job.launch(app.make_body())
     engine.schedule(fail_at, job.fail_rank, 1)
     engine.run(until=fail_at + 0.25)
-    return app, ckpt, reference
+    return app, ckpt
+
+
+def head_digests(chains, seq):
+    """The capture digest each chain's head recorded; every chain must
+    end at ``seq``."""
+    assert all(chain[-1].seq == seq for chain in chains.values())
+    heads = {rank: chain[-1].state_digest for rank, chain in chains.items()}
+    assert None not in heads.values()
+    return heads
 
 
 def test_restart_restores_and_continues():
-    app, ckpt, reference = run_until_failure()
+    app, ckpt = run_until_failure()
     seq = ckpt.store.latest_committed()
     assert seq is not None
 
     # second life: fresh engine and cluster, resumed from the store
     engine2 = Engine()
     app2 = SyntheticApp(SPEC, n_iterations=3)
-    coordinator = RestartCoordinator(
-        app2, RecoveryManager(ckpt.store).recovery_chains())
+    chains = RecoveryManager(ckpt.store).recovery_chains()
+    heads = head_digests(chains, seq)
+    coordinator = RestartCoordinator(app2, chains)
     job2 = coordinator.restart(engine2)
     lib2 = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job2)
 
-    # verify the restored memory at the exact restore point, before any
-    # new computation overwrites it
-    restored_sigs = {}
-    procs = coordinator.launch(
-        job2, on_restored=lambda ctx: restored_sigs.__setitem__(
-            ctx.rank, ctx.memory.state_signature()))
-
+    # each resume body checks its restored memory against the chain
+    # head's capture digest, before any new computation overwrites it:
+    # a mismatch would surface as the rank's exception
+    procs = coordinator.launch(job2)
     engine2.run(detect_deadlock=True)
-    for rank in range(2):
-        assert AddressSpace.signatures_equal(restored_sigs[rank],
-                                             reference[(rank, seq)]), \
-            f"rank {rank} restart state differs from checkpoint {seq}"
     for p in procs:
         if p.exception is not None:
             raise p.exception
@@ -75,25 +65,23 @@ def test_restart_restores_and_continues():
         assert rc.iterations == 3
     # the restarted run wrote new data on top of the restored state
     for rank in range(2):
-        sig = job2.processes[rank].memory.state_signature()
-        assert not AddressSpace.signatures_equal(sig, reference[(rank, seq)])
+        assert job2.processes[rank].memory.state_digest() != heads[rank]
 
 
 def test_restart_to_earlier_sequence():
-    app, ckpt, reference = run_until_failure()
+    app, ckpt = run_until_failure()
     committed = [gc.seq for gc in ckpt.committed()]
     assert len(committed) >= 2
     engine2 = Engine()
     app2 = SyntheticApp(SPEC, n_iterations=1)
-    coordinator = RestartCoordinator(
-        app2, RecoveryManager(ckpt.store).recovery_chains(seq=committed[0]))
+    chains = RecoveryManager(ckpt.store).recovery_chains(seq=committed[0])
+    head_digests(chains, committed[0])
+    coordinator = RestartCoordinator(app2, chains)
     job2 = coordinator.restart(engine2)
-    restored_sigs = {}
-    coordinator.launch(job2, on_restored=lambda ctx: restored_sigs.__setitem__(
-        ctx.rank, ctx.memory.state_signature()))
+    procs = coordinator.launch(job2)
     engine2.run(detect_deadlock=True)
-    assert AddressSpace.signatures_equal(restored_sigs[0],
-                                         reference[(0, committed[0])])
+    assert all(p.exception is None for p in procs)
+    assert app2.contexts[0].iterations == 1
 
 
 def test_restart_requires_commit():
@@ -104,7 +92,7 @@ def test_restart_requires_commit():
 
 
 def test_restart_builds_one_rank_per_chain():
-    app, ckpt, _ = run_until_failure()
+    app, ckpt = run_until_failure()
     chains = RecoveryManager(ckpt.store).recovery_chains()
     job = RestartCoordinator(app, chains).restart(Engine())
     assert job.nranks == ckpt.store.nranks == len(chains)
@@ -113,7 +101,7 @@ def test_restart_builds_one_rank_per_chain():
 def test_resume_bodies_apply_the_given_chain_objects(monkeypatch):
     # launch() applies exactly the checkpoints it was handed: no second
     # read of the store behind the caller's back
-    app, ckpt, _ = run_until_failure()
+    app, ckpt = run_until_failure()
     chains = RecoveryManager(ckpt.store).recovery_chains()
     applied = {}
 
@@ -137,7 +125,7 @@ def test_resume_bodies_apply_the_given_chain_objects(monkeypatch):
 def flipped_store():
     """A store whose newest committed piece of rank 1 has a flipped bit
     (the recorded digest is left as it was)."""
-    app, ckpt, _ = run_until_failure()
+    app, ckpt = run_until_failure()
     seq = ckpt.store.latest_committed()
     assert ckpt.store.flip_bits(1, seq, nbits=4) is not None
     return app, ckpt.store, seq
@@ -154,6 +142,52 @@ def test_verified_standalone_read_refuses_a_flipped_piece():
         RestartCoordinator(app, manager.recovery_chains())
     # the other rank's chain is untouched and still verifies
     assert manager.recovery_chain(0)[-1].seq == seq
+
+
+def test_unverified_standalone_restore_refuses_a_flipped_piece():
+    # without integrity verification the flipped chain is read as is,
+    # but restoring it cannot reproduce the state captured at its head
+    app, store, seq = flipped_store()
+    manager = RecoveryManager(store, layout=app.layout,
+                              verify_integrity=False)
+    with pytest.raises(RecoveryError, match=f"restored state differs from "
+                                            f"the checkpoint captured at "
+                                            f"seq {seq}"):
+        manager.restore_all()
+    assert manager.restore_rank(0).state_digest() == \
+        manager.recovery_chain(0)[-1].state_digest
+
+
+def test_unverified_standalone_restart_stops_at_its_start():
+    # the same flipped chain handed to a restart: rank 1's resume body
+    # refuses it before the restart barrier and halts the engine, so
+    # rank 0 never runs on without its peer
+    app, store, seq = flipped_store()
+    chains = RecoveryManager(store, verify_integrity=False).recovery_chains()
+    engine = Engine()
+    app2 = SyntheticApp(SPEC, n_iterations=3)
+    coordinator = RestartCoordinator(app2, chains)
+    procs = coordinator.launch(coordinator.restart(engine))
+    engine.run(detect_deadlock=True)
+    assert engine.now == 0.0
+    assert isinstance(procs[1].exception, RecoveryError)
+    assert str(procs[1].exception).startswith(
+        f"rank 1: restored state differs from the checkpoint captured at "
+        f"seq {seq}")
+    assert procs[0].exception is None
+    assert all(rc.iterations == 0 for rc in app2.contexts)
+
+
+def test_restart_refuses_chains_ending_at_different_sequences():
+    # ranks restored to different checkpoints are not a consistent cut
+    app, ckpt = run_until_failure()
+    committed = [gc.seq for gc in ckpt.committed()]
+    assert len(committed) >= 2
+    manager = RecoveryManager(ckpt.store)
+    chains = manager.recovery_chains()
+    chains[1] = manager.recovery_chain(1, seq=committed[0])
+    with pytest.raises(RecoveryError, match="different sequences"):
+        RestartCoordinator(app, chains)
 
 
 def test_unverified_standalone_read_returns_the_stored_chain():
@@ -197,7 +231,7 @@ def test_apply_chain_recreates_transient_mmaps():
 
 
 def test_apply_chain_strict_geometry_checks():
-    app, ckpt, _ = run_until_failure()
+    app, ckpt = run_until_failure()
     recovery = RecoveryManager(ckpt.store, layout=app.layout)
     chain = recovery.recovery_chain(0)
 

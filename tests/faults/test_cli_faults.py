@@ -43,6 +43,23 @@ def test_faults_run_with_plan_file(tmp_path):
     assert "rolled back to" in text
 
 
+def test_faults_run_reports_a_refused_restore(tmp_path, capsys):
+    # without integrity verification the flipped newest piece is
+    # restored, and the restore's own digest check refuses it: exit 1
+    # with one line on stderr, not a traceback
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"events": [
+        {"time": 5.3, "kind": "crash", "rank": 0}]}))
+    code, _ = run_cli("faults", "run", "--app", "lu", "--ranks", "2",
+                      "--duration", "8", "--timeslice", "0.5",
+                      "--plan", str(plan), "--corrupt", "flip@5.1:1:9",
+                      "--no-verify-integrity")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "recovery failed: rank 1: restored state differs from the "
+        "checkpoint captured at seq 9\n")
+
+
 def test_faults_run_missing_plan_file(tmp_path, capsys):
     code, _ = run_cli("faults", "run", "--app", "lu", "--ranks", "2",
                       "--plan", str(tmp_path / "nope.json"))

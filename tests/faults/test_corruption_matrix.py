@@ -54,6 +54,15 @@ def corruption(kind, time, seq):
     return FaultEvent(time, kind, VICTIM, seq=seq)
 
 
+def assert_heads_match(res, reference, seq, nranks):
+    """Every rank's life-0 piece at ``seq`` recorded the same capture
+    digest as the reference run's."""
+    for rank in range(nranks):
+        got = res.lives[0].store.find(rank, seq).payload.state_digest
+        want = reference.lives[0].store.find(rank, seq).payload.state_digest
+        assert want is not None and got == want, (rank, seq)
+
+
 KINDS = [FaultKind.FLIP, FaultKind.TRUNCATE, FaultKind.DROP]
 # (corruption target seq, corruption time, expected recovered seq)
 POSITIONS = [
@@ -91,12 +100,10 @@ def test_matrix_detects_and_recovers_bit_identical(kind, seq, t_corrupt,
         assert (rec.recovery_life, rec.recovered_seq) == (0, want_seq)
         # recovery never trusted anything newer than the intact prefix
         assert min(rejected) == want_seq + 2
-        # bit-identical restore against the failure-free reference
-        ref_sigs = reference.lives[0].signatures
-        restored = res.restored_signatures[0]
-        assert set(restored) == set(range(CONFIG.nranks))
-        for rank, sig in restored.items():
-            assert sig == ref_sigs[(rank, want_seq)], (kind, rank, want_seq)
+        # bit-identical restore against the failure-free reference: each
+        # restore reproduced its chain head's capture digest (or the run
+        # would have raised), and that digest is the reference's
+        assert_heads_match(res, reference, want_seq, CONFIG.nranks)
     assert res.metrics.corruptions_detected == len(res.corruptions)
     assert res.metrics.integrity_walkbacks == len(rejected)
 
@@ -151,8 +158,8 @@ def test_corruption_of_uncommitted_tail_never_serves_recovery():
 def test_without_integrity_the_corruption_restores_garbage(reference):
     # the pre-change behaviour, kept reachable for contrast: trusting
     # the commit markers restores a state that never existed, and only
-    # the driver's bit-identical signature check catches it -- at
-    # restore time, after the damage is done.  The flip must hit the
+    # the restore's own state-digest check catches it -- at restore
+    # time, after the damage is done.  The flip must hit the
     # NEWEST delta: flipped bytes in an older delta are overwritten by
     # the later ones during replay and the garbage is masked.
     plan = FaultPlan([corruption(FaultKind.FLIP, 5.1, 9), CRASH])
@@ -167,9 +174,9 @@ def test_without_integrity_the_corruption_restores_garbage(reference):
 def test_dropped_piece_without_integrity_raises_on_missing_chain():
     # a DROPPED tail piece without verification: recovery asks the
     # store for a chain that cannot reach the committed sequence; the
-    # bit-identical signature check refuses the mislocated restore
+    # restart refuses chains that end at different sequences
     plan = FaultPlan([corruption(FaultKind.DROP, 5.1, 9), CRASH])
-    with pytest.raises(RecoveryError):
+    with pytest.raises(RecoveryError, match="different sequences"):
         run_matrix(plan, verify_integrity=False)
     res = run_matrix(plan)      # with integrity: clean walk-back
     assert res.failures[0].recovered_seq == 7
@@ -222,11 +229,7 @@ def test_dcp_matrix_detects_and_recovers_bit_identical(kind, seq, t_corrupt,
         assert (rec.recovery_life, rec.recovered_seq) == (0, want_seq)
         assert min(rejected) == want_seq + 2
         # bit-identical block-granular restore vs the failure-free run
-        ref_sigs = dcp_reference.lives[0].signatures
-        restored = res.restored_signatures[0]
-        assert set(restored) == set(range(DCP_CONFIG.nranks))
-        for rank, sig in restored.items():
-            assert sig == ref_sigs[(rank, want_seq)], (kind, rank, want_seq)
+        assert_heads_match(res, dcp_reference, want_seq, DCP_CONFIG.nranks)
     assert res.metrics.corruptions_detected == len(res.corruptions)
     assert res.metrics.integrity_walkbacks == len(rejected)
 

@@ -67,6 +67,23 @@ def test_bad_usage_exits_two(argv, capsys):
     capsys.readouterr()  # swallow the usage message
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--app", "lu", "--ranks", "0"],
+    ["run", "--app", "lu", "--timeslice", "0"],
+    ["sweep", "--app", "lu", "--ranks", "0"],
+    ["sweep", "--app", "lu", "--timeslices", "1,0"],
+    ["sweep", "--app", "lu", "--timeslices", "1,x"],
+    ["feasibility", "--ranks", "0"],
+    ["report", "--out", "unused", "--ranks", "0"],
+])
+def test_non_positive_or_malformed_counts_exit_two(argv, capsys):
+    # rejected while parsing, before any simulation (or any traceback)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_faults_run_needs_a_fault_source(capsys):
     # not an argparse error any more (--corrupt alone is a valid
     # source), but still exit code 2 with a pointer at the flags
