@@ -9,23 +9,26 @@ scalability experiments.
 
 from __future__ import annotations
 
-import math
 from typing import Literal
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 
 
 class Topology:
-    """Hop-count provider over a networkx graph of switches and nodes.
+    """Hop counts in closed form, equal to the shortest path through the
+    switches of each shape.
 
     Supported shapes:
 
     - ``"fat-tree"`` -- quaternary fat tree (QsNet style): nodes hang off
-      leaf switches of radix 4, with enough levels for the node count;
+      leaf switches of radix 4, with enough levels for the node count.
+      Nodes ``a`` and ``b`` meet at the lowest level ``k >= 1`` where
+      ``a // radix**k == b // radix**k``, ``2*k`` hops apart;
     - ``"star"`` -- one crossbar (every pair 2 hops);
-    - ``"ring"`` -- nodes in a cycle (for contrast in ablations).
+    - ``"ring"`` -- nodes in a cycle (for contrast in ablations):
+      ``min(d, nnodes - d)`` hops for ``d = |a - b|``.
+
+    A node is 0 hops from itself.
     """
 
     def __init__(self, nnodes: int,
@@ -35,60 +38,29 @@ class Topology:
             raise ConfigurationError(f"need at least one node, got {nnodes}")
         if radix < 2:
             raise ConfigurationError(f"switch radix must be >= 2, got {radix}")
+        if shape not in ("fat-tree", "star", "ring"):
+            raise ConfigurationError(f"unknown topology shape {shape!r}")
         self.nnodes = nnodes
         self.shape = shape
         self.radix = radix
-        self.graph = self._build(nnodes, shape, radix)
-        self._hops: dict[tuple[int, int], int] = {}
-
-    @staticmethod
-    def _node(i: int) -> str:
-        return f"n{i}"
-
-    def _build(self, n: int, shape: str, radix: int) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self._node(i) for i in range(n))
-        if n == 1:
-            return g
-        if shape == "star":
-            g.add_node("sw0")
-            for i in range(n):
-                g.add_edge(self._node(i), "sw0")
-        elif shape == "ring":
-            for i in range(n):
-                g.add_edge(self._node(i), self._node((i + 1) % n))
-        elif shape == "fat-tree":
-            # leaf switches of given radix, then a tree of up-switches
-            leaves = [f"L{j}" for j in range(math.ceil(n / radix))]
-            for i in range(n):
-                g.add_edge(self._node(i), leaves[i // radix])
-            level = leaves
-            lvl = 0
-            while len(level) > 1:
-                lvl += 1
-                parents = [f"U{lvl}.{j}" for j in range(math.ceil(len(level) / radix))]
-                for j, sw in enumerate(level):
-                    g.add_edge(sw, parents[j // radix])
-                level = parents
-        else:
-            raise ConfigurationError(f"unknown topology shape {shape!r}")
-        return g
 
     def hops(self, a: int, b: int) -> int:
-        """Switch-to-switch hop count between nodes ``a`` and ``b``
-        (0 for a == b; memoized shortest path otherwise)."""
+        """Switch-to-switch hop count between nodes ``a`` and ``b``."""
         if not (0 <= a < self.nnodes and 0 <= b < self.nnodes):
             raise ConfigurationError(
                 f"node pair ({a}, {b}) outside topology of {self.nnodes}")
         if a == b:
             return 0
-        key = (a, b) if a < b else (b, a)
-        cached = self._hops.get(key)
-        if cached is None:
-            cached = nx.shortest_path_length(
-                self.graph, self._node(key[0]), self._node(key[1]))
-            self._hops[key] = cached
-        return cached
+        if self.shape == "star":
+            return 2
+        if self.shape == "ring":
+            d = abs(a - b)
+            return min(d, self.nnodes - d)
+        level, span = 1, self.radix
+        while a // span != b // span:
+            level += 1
+            span *= self.radix
+        return 2 * level
 
     def diameter(self) -> int:
         """Largest hop count over all node pairs."""

@@ -1,8 +1,12 @@
 """Unit tests for link models, topology, and the network."""
 
+import math
+from collections import deque
+
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
+from repro.mpi.runtime import RankTopology
 from repro.net import ETHERNET_100M, LinkSpec, Message, Network, QSNET2, Topology
 from repro.sim import Engine
 from repro.units import MiB
@@ -71,6 +75,8 @@ def test_topology_validation():
         Topology(0)
     with pytest.raises(ConfigurationError):
         Topology(4, shape="hypercube")  # type: ignore[arg-type]
+    with pytest.raises(ConfigurationError):
+        Topology(1, shape="hypercube")  # type: ignore[arg-type]
     topo = Topology(4)
     with pytest.raises(ConfigurationError):
         topo.hops(0, 9)
@@ -79,6 +85,64 @@ def test_topology_validation():
 def test_topology_32_nodes_diameter_reasonable():
     topo = Topology(32, shape="fat-tree", radix=4)
     assert 2 <= topo.diameter() <= 8
+
+
+def _reference_hops(n, shape, radix):
+    """Oracle: BFS over the explicit switch graph, ``n{i}`` nodes, ``L{j}``
+    leaf switches and ``U{lvl}.{j}`` up-switches; returns dist[a][b]."""
+    adj = {f"n{i}": set() for i in range(n)}
+
+    def link(u, v):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    if n > 1 and shape == "star":
+        for i in range(n):
+            link(f"n{i}", "sw0")
+    elif n > 1 and shape == "ring":
+        for i in range(n):
+            link(f"n{i}", f"n{(i + 1) % n}")
+    elif n > 1:
+        level = [f"L{j}" for j in range(math.ceil(n / radix))]
+        for i in range(n):
+            link(f"n{i}", level[i // radix])
+        lvl = 0
+        while len(level) > 1:
+            lvl += 1
+            parents = [f"U{lvl}.{j}" for j in range(math.ceil(len(level) / radix))]
+            for j, sw in enumerate(level):
+                link(sw, parents[j // radix])
+            level = parents
+    dist = []
+    for a in range(n):
+        seen, todo = {f"n{a}": 0}, deque([f"n{a}"])
+        while todo:
+            u = todo.popleft()
+            for v in adj[u]:
+                if v not in seen:
+                    seen[v] = seen[u] + 1
+                    todo.append(v)
+        dist.append([seen[f"n{b}"] for b in range(n)])
+    return dist
+
+
+@pytest.mark.parametrize("radix", [2, 3, 4, 5])
+@pytest.mark.parametrize("shape", ["fat-tree", "star", "ring"])
+def test_topology_hops_equal_switch_graph_shortest_paths(shape, radix):
+    refs = {}
+    for n in [*range(1, 41), 64, 256]:
+        refs[n] = ref = _reference_hops(n, shape, radix)
+        topo = Topology(n, shape=shape, radix=radix)
+        assert [[topo.hops(a, b) for b in range(n)] for a in range(n)] == ref, n
+        assert topo.diameter() == max(map(max, ref))
+    for nranks in range(1, 41):
+        for ppn in (1, 2, 4):
+            ranks = RankTopology(nranks, procs_per_node=ppn,
+                                 shape=shape, radix=radix)
+            ref = refs[ranks.nnodes]
+            assert ranks.nnodes == -(-nranks // ppn)
+            assert all(ranks.hops(a, b) == ref[a // ppn][b // ppn]
+                       for a in range(nranks) for b in range(nranks)), (nranks, ppn)
 
 
 # -- network -----------------------------------------------------------------
