@@ -25,7 +25,7 @@ measurements argue for, which lets the tests prove the central identity:
 from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.checkpoint.full import FullCheckpointer
 from repro.checkpoint.incremental import IncrementalCheckpointer
-from repro.checkpoint.dcp import DcpCheckpointer, content_block_hashes
+from repro.checkpoint.dcp import DcpCheckpointer
 from repro.checkpoint.recovery import (
     RecoveryManager,
     apply_chain,
@@ -75,7 +75,6 @@ __all__ = [
     "SegmentRecord",
     "UncoordinatedSchedule",
     "apply_chain",
-    "content_block_hashes",
     "cow_cost",
     "lost_work",
     "make_resume_body",

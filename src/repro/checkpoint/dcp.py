@@ -8,20 +8,11 @@ at the previous checkpoint, and emits only the blocks whose hash moved
 -- the differential scheme later literature (see PAPERS.md) showed
 recovers most of the page-granularity waste at a modest hash cost.
 
-Two hashing backends, matching the address space's two content
-backends:
-
-- **signature backend** (default): a block's "hash" is its 64-bit
-  write version from the :class:`~repro.mem.blocks.BlockTable`.  Exact
-  by construction -- a block whose bytes changed was written, so its
-  version moved -- and restores are *version-identical*, so driver and
-  experiment verification via ``state_signature()`` holds unchanged.
-- **bytes backend** (``store_contents=True``): truncated blake2b over
-  the real block bytes.  Blocks rewritten with identical content hash
-  equal and are skipped -- content-hash dedup on top of write
-  tracking.  Restored *content* is bit-identical; page versions are
-  synthesized from hashes and carry no meaning (documented in
-  DESIGN.md section 6.14).
+A block's "hash" is its 64-bit write version from the
+:class:`~repro.mem.blocks.BlockTable`.  That is exact by construction --
+a block whose bytes changed was written, so its version moved -- and
+restores are *version-identical*, so every restore reproduces the
+captured ``state_digest()``.
 
 Pages in the unconditionally-new portion of the capture mask (new
 segments, heap growth, shrink-then-regrow) emit **all** their blocks
@@ -36,8 +27,6 @@ engine uses that instead.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from repro.checkpoint.incremental import IncrementalCheckpointer
@@ -47,24 +36,6 @@ from repro.mem import AddressSpace, Segment
 #: baseline sentinel for blocks that have never been hashed; a real
 #: hash colliding with it merely forces a spurious (safe) emit
 NEVER_HASHED = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def content_block_hashes(seg: Segment, pages: np.ndarray,
-                         block_size: int) -> np.ndarray:
-    """blake2b content hash (truncated to 64 bits) of every block of
-    the given pages; shape ``(len(pages), blocks_per_page)`` uint64.
-    Bytes backend only."""
-    bpp = seg.page_size // block_size
-    out = np.empty((len(pages), bpp), dtype=np.uint64)
-    view = memoryview(seg.contents)
-    for row, page in enumerate(pages):
-        off = int(page) * seg.page_size
-        for b in range(bpp):
-            digest = hashlib.blake2b(
-                view[off:off + block_size], digest_size=8).digest()
-            out[row, b] = int.from_bytes(digest, "little")
-            off += block_size
-    return out
 
 
 class DcpCheckpointer(IncrementalCheckpointer):
@@ -92,8 +63,6 @@ class DcpCheckpointer(IncrementalCheckpointer):
     def _hashes_of(self, seg: Segment, pages: np.ndarray) -> np.ndarray:
         """Current block hash vectors for the given pages, shape
         ``(len(pages), blocks_per_page)``."""
-        if seg.contents is not None:
-            return content_block_hashes(seg, pages, self.block_size)
         bpp = self.blocks_per_page
         return seg.blocks.versions.reshape(-1, bpp)[pages].copy()
 

@@ -34,15 +34,6 @@ def geometry_of(memory: AddressSpace,
     return tuple(records)
 
 
-def unit_bytes_of(seg, indices: np.ndarray, unit_size: int):
-    """Gather real contents of the saved ``unit_size``-byte units
-    (bytes backend), or None under the signature-only backend."""
-    if seg.contents is None:
-        return None
-    flat = np.frombuffer(bytes(seg.contents), dtype=np.uint8)
-    return flat.reshape(-1, unit_size)[indices].copy()
-
-
 class FullCheckpointer:
     """Captures the complete data memory (the non-incremental baseline
     the paper's bandwidth comparison is implicitly made against)."""
@@ -54,11 +45,10 @@ class FullCheckpointer:
         for seg in memory.data_segments():
             if seg.npages == 0:
                 continue
-            indices = np.arange(seg.npages, dtype=np.int64)
             payloads.append(Payload(
-                sid=seg.sid, indices=indices,
-                versions=seg.pages.versions.copy(),
-                unit_bytes=unit_bytes_of(seg, indices, seg.page_size)))
+                sid=seg.sid,
+                indices=np.arange(seg.npages, dtype=np.int64),
+                versions=seg.pages.versions.copy()))
         return Checkpoint(seq=seq, kind="full", taken_at=taken_at,
                           page_size=memory.page_size,
                           geometry=geometry_of(memory),

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.checkpoint.full import geometry_of, unit_bytes_of
+from repro.checkpoint.full import geometry_of
 from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.errors import CheckpointError
 from repro.mem import AddressSpace, SegmentKind
@@ -153,9 +153,7 @@ class IncrementalCheckpointer:
             indices, versions = self._units(seg, pages, new_from)
             if len(indices):
                 payloads.append(Payload(
-                    sid=seg.sid, indices=indices, versions=versions,
-                    unit_bytes=unit_bytes_of(seg, indices,
-                                             self.block_size)))
+                    sid=seg.sid, indices=indices, versions=versions))
         page_size = self.memory.page_size
         ckpt = Checkpoint(
             seq=seq,

@@ -3,7 +3,7 @@
 Replay walks the chain oldest-to-newest, evolving a per-segment version
 map: geometry records grow/shrink/drop segments (new pages arrive
 zeroed, exactly like the kernel's zero-fill), payloads stamp saved unit
-versions and bytes.  The final state is materialized into a fresh
+versions.  The final state is materialized into a fresh
 :class:`~repro.mem.AddressSpace` (or stamped over a live one) whose
 content signature must equal the original's at capture time.  Every
 restore checks that itself when the chain head carries the state digest
@@ -24,34 +24,22 @@ from repro.storage.integrity import verify_chain
 
 
 def replay_chain(chain: Sequence[Checkpoint]) \
-        -> dict[int, tuple[SegmentRecord, np.ndarray, Optional[np.ndarray]]]:
-    """Evolve the chain into ``sid -> (final geometry, versions, bytes)``.
-
-    The third element is the reconstructed byte content, shape
-    ``(npages, page_size)``; None when the chain was captured under the
-    signature-only backend.
-    """
+        -> dict[int, tuple[SegmentRecord, np.ndarray]]:
+    """Evolve the chain into ``sid -> (final geometry, page versions)``."""
     if not chain:
         raise RecoveryError("empty checkpoint chain")
     if chain[0].kind != "full":
         raise RecoveryError("chain must start with a full checkpoint")
-    page_size = chain[0].page_size
-    has_bytes = any(p.unit_bytes is not None
-                    for c in chain for p in c.payloads)
-    state: dict[int, tuple[SegmentRecord, np.ndarray, Optional[np.ndarray]]] = {}
+    state: dict[int, tuple[SegmentRecord, np.ndarray]] = {}
     for ckpt in chain:
-        new_state: dict[int, tuple] = {}
+        new_state: dict[int, tuple[SegmentRecord, np.ndarray]] = {}
         for rec in ckpt.geometry:
             versions = np.zeros(rec.npages, dtype=np.uint64)
-            content = (np.zeros((rec.npages, page_size), dtype=np.uint8)
-                       if has_bytes else None)
             old = state.get(rec.sid)
             if old is not None:
                 n = min(len(old[1]), rec.npages)
                 versions[:n] = old[1][:n]
-                if content is not None and old[2] is not None:
-                    content[:n] = old[2][:n]
-            new_state[rec.sid] = (rec, versions, content)
+            new_state[rec.sid] = (rec, versions)
         state = new_state  # segments missing from the geometry are dropped
         per_page = ckpt.page_size // ckpt.block_size
         for payload in ckpt.payloads:
@@ -59,43 +47,35 @@ def replay_chain(chain: Sequence[Checkpoint]) \
             if entry is None:
                 raise RecoveryError(
                     f"payload for unknown segment sid {payload.sid}")
-            rec, versions, content = entry
+            rec, versions = entry
             in_range = payload.indices < rec.npages * per_page
             idx = payload.indices[in_range]
             if per_page == 1:
                 # one block per page: a saved page takes its version
                 versions[idx] = payload.versions[in_range]
             else:
-                # stamp pages with the max block hash (== the page's
-                # write version under the signature backend).  A page
-                # with every block emitted (forced full-page emit for
-                # new/regrown pages, or all blocks changed) takes
-                # exactly max(emitted versions) -- the carried version
-                # may be a stale higher value from before a shrink; a
-                # partially-emitted page keeps its unchanged blocks, so
-                # its version is max(carried, emitted)
+                # stamp pages with the max block version (== the page's
+                # write version).  A page with every block emitted
+                # (forced full-page emit for new/regrown pages, or all
+                # blocks changed) takes exactly max(emitted versions) --
+                # the carried version may be a stale higher value from
+                # before a shrink; a partially-emitted page keeps its
+                # unchanged blocks, so its version is max(carried, emitted)
                 touched, counts = np.unique(idx // per_page,
                                             return_counts=True)
                 versions[touched[counts == per_page]] = 0
                 np.maximum.at(versions, idx // per_page,
                               payload.versions[in_range])
-            if content is not None and payload.unit_bytes is not None:
-                content.reshape(-1, ckpt.block_size)[idx] = \
-                    payload.unit_bytes[in_range]
     return state
 
 
 def restore_address_space(chain: Sequence[Checkpoint],
                           layout: Optional[Layout] = None) -> AddressSpace:
-    """Materialize the chain's final state into a new address space.
-
-    Chains captured under the bytes backend restore real page contents
-    (the new space gets ``store_contents=True``); signature-only chains
-    restore version arrays.  Checked like :func:`apply_chain`.
-    """
+    """Materialize the chain's final state into a new address space,
+    checked like :func:`apply_chain`."""
     state = replay_chain(chain)
     npages: dict[str, int] = {}
-    for rec, _, _ in state.values():
+    for rec, _ in state.values():
         if rec.kind in ("data", "bss", "heap"):
             if rec.kind in npages:
                 raise RecoveryError(f"chain holds multiple {rec.kind} segments")
@@ -110,9 +90,7 @@ def restore_address_space(chain: Sequence[Checkpoint],
     asp = AddressSpace(
         layout,
         data_size=npages.get("data", 0) * page_size,
-        bss_size=npages.get("bss", 0) * page_size,
-        store_contents=any(content is not None
-                           for _, _, content in state.values()))
+        bss_size=npages.get("bss", 0) * page_size)
     if npages.get("heap"):
         asp.sbrk(npages["heap"] * page_size)
     _overlay(asp, chain[-1], state, strict=True)
@@ -145,8 +123,7 @@ def apply_chain(memory: AddressSpace, chain: Sequence[Checkpoint],
 
 
 def _overlay(memory: AddressSpace, head: Checkpoint,
-             state: dict[int, tuple[SegmentRecord, np.ndarray,
-                                    Optional[np.ndarray]]],
+             state: dict[int, tuple[SegmentRecord, np.ndarray]],
              strict: bool) -> None:
     """Stamp replayed ``state`` over ``memory`` (see :func:`apply_chain`),
     ``head`` being the chain's newest checkpoint."""
@@ -180,10 +157,8 @@ def _overlay(memory: AddressSpace, head: Checkpoint,
                                              rec.npages * memory.page_size),
                            by_key[key]))
     max_version = memory._version
-    for seg, (_, versions, content) in stamps:
+    for seg, (_, versions) in stamps:
         seg.pages.versions[:] = versions
-        if content is not None and seg.contents is not None:
-            seg.contents[:] = content.tobytes()
         if len(versions):
             max_version = max(max_version, int(versions.max()))
     # future writes must not reuse version numbers already on the pages

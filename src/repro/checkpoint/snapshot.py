@@ -49,25 +49,17 @@ class SegmentRecord:
 
 @dataclass(frozen=True)
 class Payload:
-    """Saved units of one segment: parallel index/version arrays, plus
-    (under the bytes backend) the real unit contents."""
+    """Saved units of one segment: parallel index/version arrays."""
 
     sid: int
     indices: np.ndarray    #: unit indices within the segment (ascending)
-    #: content signature per saved unit: the write version on the
-    #: signature backend, a truncated blake2b digest for sub-page blocks
-    #: on the bytes backend
+    #: content of each saved unit: its 64-bit write version (the page's
+    #: for a page unit, the block's for a sub-page block)
     versions: np.ndarray
-    #: real content, shape (nunits, block_size) uint8; None under the
-    #: default signature-only backend
-    unit_bytes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.indices) != len(self.versions):
             raise CheckpointError("payload index/version length mismatch")
-        if (self.unit_bytes is not None
-                and len(self.unit_bytes) != len(self.indices)):
-            raise CheckpointError("payload byte-content length mismatch")
 
 
 @dataclass(frozen=True)

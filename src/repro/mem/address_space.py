@@ -54,28 +54,19 @@ class AddressSpace:
 
     def __init__(self, layout: Optional[Layout] = None, *,
                  data_size: int = 0, bss_size: int = 0,
-                 stack_size: int = 64 * 1024,
-                 store_contents: bool = False):
+                 stack_size: int = 64 * 1024):
         self.layout = layout or Layout()
         ps = self.layout.page_size
         self._version = 0
-        #: the bytes backend: data-memory segments carry real byte
-        #: payloads (checkpoints then capture/restore actual content).
-        #: Off by default -- the paper's metrics need only page versions,
-        #: and signatures keep full-scale footprints cheap.
-        self.store_contents = store_contents
 
         self.text = Segment(SegmentKind.TEXT, self.layout.text_base,
                             page_align_up(self.layout.text_size, ps), ps)
         self.data = Segment(SegmentKind.DATA, self.layout.data_base,
-                            page_align_up(data_size, ps), ps,
-                            store_contents=store_contents)
+                            page_align_up(data_size, ps), ps)
         self.bss = Segment(SegmentKind.BSS, self.data.end,
-                           page_align_up(bss_size, ps), ps,
-                           store_contents=store_contents)
+                           page_align_up(bss_size, ps), ps)
         # the heap starts empty, immediately after the BSS
-        self.heap = Segment(SegmentKind.HEAP, self.bss.end, 0, ps,
-                            store_contents=store_contents)
+        self.heap = Segment(SegmentKind.HEAP, self.bss.end, 0, ps)
         stack_size = page_align_up(stack_size, ps)
         if stack_size > self.layout.max_stack:
             raise MappingError(
@@ -266,19 +257,12 @@ class AddressSpace:
                                     f"{addr:#x} runs past segment {seg.name!r}")
         return seg
 
-    def cpu_write(self, addr: int, size: int,
-                  data: Optional[bytes] = None) -> WriteResult:
-        """A CPU store to ``[addr, addr+size)``; takes the faulting path.
-
-        With the bytes backend, ``data`` (which must be exactly ``size``
-        bytes) is stored as the real content.
-        """
+    def cpu_write(self, addr: int, size: int) -> WriteResult:
+        """A CPU store to ``[addr, addr+size)``; takes the faulting path."""
         seg = self._resolve(addr, size)
         lo, hi = seg.page_range(addr, size)
         off = addr - seg.base
-        result = self.cpu_write_pages(seg, lo, hi, _byte_span=(off, off + size))
-        self._store_bytes(seg, addr, size, data)
-        return result
+        return self.cpu_write_pages(seg, lo, hi, _byte_span=(off, off + size))
 
     def cpu_write_pages(self, seg: Segment, lo: int, hi: int,
                         _byte_span: Optional[tuple[int, int]] = None
@@ -315,8 +299,7 @@ class AddressSpace:
             return 0
         return (self.stack.npages - self._stack_low_page) * self.page_size
 
-    def dma_write(self, addr: int, size: int,
-                  data: Optional[bytes] = None) -> WriteResult:
+    def dma_write(self, addr: int, size: int) -> WriteResult:
         """A device store (NIC DMA): bypasses protection and dirty tracking."""
         seg = self._resolve(addr, size)
         lo, hi = seg.page_range(addr, size)
@@ -326,30 +309,11 @@ class AddressSpace:
         if blocks is not None:
             off = addr - seg.base
             blocks.mark_bytes(off, off + size, version)
-        self._store_bytes(seg, addr, size, data)
         return WriteResult(pages=hi - lo, faults=0, missed=missed)
-
-    def _store_bytes(self, seg: Segment, addr: int, size: int,
-                     data: Optional[bytes]) -> None:
-        if data is None:
-            return
-        if len(data) != size:
-            raise MappingError(
-                f"data payload of {len(data)} bytes != store size {size}")
-        if seg.contents is None:
-            raise MappingError(
-                f"segment {seg.name!r} has no bytes backend "
-                "(construct the AddressSpace with store_contents=True)")
-        seg.write_bytes(addr, data)
 
     def read(self, addr: int, size: int) -> None:
         """A load; only checks the mapping (the paper tracks writes only)."""
         self._resolve(addr, size)
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        """Real content (bytes backend only)."""
-        seg = self._resolve(addr, size)
-        return seg.read_bytes(addr, size)
 
     # -- heap (brk/sbrk) ----------------------------------------------------------------
 
@@ -403,8 +367,7 @@ class AddressSpace:
         else:
             base = self._find_mmap_gap(size)
             seg = Segment(SegmentKind.MMAP, base, size, self.page_size,
-                          name=name or f"mmap@{base:#x}",
-                          store_contents=self.store_contents)
+                          name=name or f"mmap@{base:#x}")
         self._attach_blocks(seg)
         self._mmaps[base] = seg
         self._invalidate_caches()
@@ -430,8 +393,7 @@ class AddressSpace:
             raise MappingError(
                 f"fixed mapping at {base:#x} overlaps {conflict!r}")
         seg = Segment(SegmentKind.MMAP, base, size, self.page_size,
-                      name=name or f"mmap@{base:#x}",
-                      store_contents=self.store_contents)
+                      name=name or f"mmap@{base:#x}")
         self._attach_blocks(seg)
         self._mmaps[base] = seg
         self._invalidate_caches()
@@ -489,17 +451,12 @@ class AddressSpace:
 
         # keep the head and/or tail remainders mapped (with their page
         # state intact -- partial munmap must not forget surviving content)
-        orig_base, orig_end = seg.base, seg.end
-        # snapshot the byte payload before any truncation mutates it
-        orig_contents = (bytes(seg.contents) if seg.contents is not None
-                         else None)
+        orig_end = seg.end
         if addr > seg.base:
             head_pages = (addr - seg.base) // self.page_size
             mid_table = seg.pages.split(head_pages)  # seg keeps the head
             mid_blocks = (seg.blocks.split(head_pages)
                           if seg.blocks is not None else None)
-            if seg.contents is not None:
-                del seg.contents[head_pages * self.page_size:]
             self._mmaps[seg.base] = seg
             self._invalidate_caches()
         else:
@@ -509,15 +466,10 @@ class AddressSpace:
             tail_base = addr + size
             tail_table = mid_table.split(size // self.page_size)
             tail = Segment(SegmentKind.MMAP, tail_base, orig_end - tail_base,
-                           self.page_size, name=f"{seg.name}+tail",
-                           store_contents=self.store_contents)
+                           self.page_size, name=f"{seg.name}+tail")
             tail.pages = tail_table
             if mid_blocks is not None:
                 tail.blocks = mid_blocks.split(size // self.page_size)
-            if orig_contents is not None:
-                off = tail_base - orig_base
-                tail.contents = bytearray(
-                    orig_contents[off:off + (orig_end - tail_base)])
             self._mmaps[tail_base] = tail
             self._invalidate_caches()
             for listener in self.map_listeners:
@@ -526,11 +478,9 @@ class AddressSpace:
     def _park(self, seg: Segment) -> None:
         """Stash a fully-unmapped segment for reuse by a same-size mmap.
 
-        Bytes-backend segments are not parked (their payload would need a
-        zero-fill to match a fresh mapping, forfeiting the saving), and
-        the arena is capped so pathological unmap streams cannot pin
+        The arena is capped so pathological unmap streams cannot pin
         unbounded host memory."""
-        if seg.contents is not None or self._arena_count >= self._arena_cap:
+        if self._arena_count >= self._arena_cap:
             return
         self._arena.setdefault(seg.npages, []).append(seg)
         self._arena_count += 1

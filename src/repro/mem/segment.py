@@ -48,11 +48,10 @@ class Segment:
     """
 
     __slots__ = ("sid", "kind", "base", "page_size", "pages", "name",
-                 "contents", "blocks")
+                 "blocks")
 
     def __init__(self, kind: SegmentKind, base: int, size: int,
-                 page_size: int, name: str = "", sid: Optional[int] = None,
-                 store_contents: bool = False):
+                 page_size: int, name: str = "", sid: Optional[int] = None):
         if not is_power_of_two(page_size):
             raise MappingError(f"bad page size {page_size}")
         if base % page_size:
@@ -65,10 +64,6 @@ class Segment:
         self.page_size = page_size
         self.pages = PageTable(size // page_size)
         self.name = name or kind.value
-        #: actual byte payload (the bytes backend); None under the
-        #: default signature-only backend
-        self.contents: Optional[bytearray] = (
-            bytearray(size) if store_contents else None)
         #: sub-page block-version state (dcp checkpoint mode); None until
         #: :meth:`enable_blocks` / AddressSpace.enable_block_tracking
         self.blocks: Optional[BlockTable] = None
@@ -153,49 +148,11 @@ class Segment:
     # -- growth ---------------------------------------------------------------
 
     def resize_pages(self, npages: int) -> None:
-        """Grow/shrink in place (heap via brk, stack growth).  New byte
-        content arrives zero-filled, like the kernel's fresh pages."""
+        """Grow/shrink in place (heap via brk, stack growth).  New pages
+        arrive clean at version 0, like the kernel's fresh pages."""
         self.pages.resize(npages)
         if self.blocks is not None:
             self.blocks.resize(npages)
-        if self.contents is not None:
-            new_size = npages * self.page_size
-            if new_size > len(self.contents):
-                self.contents.extend(bytes(new_size - len(self.contents)))
-            else:
-                del self.contents[new_size:]
-
-    # -- byte content (bytes backend only) -----------------------------------------
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        """Store real byte content (after the page-table write path has
-        run).  No-op request on the signature-only backend is an error --
-        callers should check ``contents is not None``."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        lo, hi = self.page_range(addr, len(data))  # bounds check
-        offset = addr - self.base
-        self.contents[offset:offset + len(data)] = data
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        """Read real content (bytes backend only)."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        self.page_range(addr, size)  # bounds check
-        offset = addr - self.base
-        return bytes(self.contents[offset:offset + size])
-
-    def page_bytes(self, page_index: int) -> bytes:
-        """One whole page of content (checkpoint capture granularity)."""
-        if self.contents is None:
-            raise MappingError(
-                f"segment {self.name!r} does not store byte contents")
-        if not (0 <= page_index < self.npages):
-            raise MappingError(f"page {page_index} outside segment")
-        off = page_index * self.page_size
-        return bytes(self.contents[off:off + self.page_size])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Segment #{self.sid} {self.name!r} {self.kind.value} "

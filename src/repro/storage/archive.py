@@ -55,7 +55,9 @@ def _encode_payload(payload) -> bytes:
         "taken_at": payload.taken_at, "page_size": payload.page_size,
         "geometry": [[r.sid, r.kind, r.base, r.npages]
                      for r in payload.geometry],
-        "payloads": [[p.sid, int(len(p.indices)), p.unit_bytes is not None]
+        # third field: a unit-byte-content flag, always false (units
+        # carry write versions only), kept so RCKPT1 bytes are unchanged
+        "payloads": [[p.sid, int(len(p.indices)), False]
                      for p in payload.payloads],
     }
     if payload.block_size != payload.page_size:
@@ -68,9 +70,6 @@ def _encode_payload(payload) -> bytes:
                                           dtype=np.int64).tobytes())
         parts.append(np.ascontiguousarray(p.versions,
                                           dtype=np.uint64).tobytes())
-        if p.unit_bytes is not None:
-            parts.append(np.ascontiguousarray(p.unit_bytes,
-                                              dtype=np.uint8).tobytes())
     return b"".join(parts)
 
 
@@ -88,17 +87,15 @@ def _decode_payload(blob: bytes):
         block_size = int(meta.get("block_size", page_size))
         payloads = []
         for sid, nunits, has_bytes in meta["payloads"]:
+            if has_bytes is not False:
+                raise StorageError(
+                    f"malformed payload blob: sid {sid} flags unit byte "
+                    "content, which the format does not carry")
             nunits = int(nunits)
             indices, offset = _take_array(blob, offset, nunits, np.int64)
             versions, offset = _take_array(blob, offset, nunits, np.uint64)
-            unit_bytes = None
-            if has_bytes:
-                flat, offset = _take_array(blob, offset,
-                                           nunits * block_size, np.uint8)
-                unit_bytes = flat.reshape(nunits, block_size)
             payloads.append(Payload(sid=int(sid), indices=indices,
-                                    versions=versions,
-                                    unit_bytes=unit_bytes))
+                                    versions=versions))
         return Checkpoint(seq=int(meta["seq"]), kind=meta["kind"],
                           taken_at=float(meta["taken_at"]),
                           page_size=page_size, geometry=geometry,

@@ -70,10 +70,6 @@ def piece_digest(rank: int, seq: int, kind: str, nbytes: int,
             h.update(np.ascontiguousarray(p.indices, dtype=np.int64).tobytes())
             h.update(np.ascontiguousarray(p.versions,
                                           dtype=np.uint64).tobytes())
-            if p.unit_bytes is not None:
-                h.update(b"b")
-                h.update(np.ascontiguousarray(p.unit_bytes,
-                                              dtype=np.uint8).tobytes())
     return h.hexdigest()
 
 

@@ -213,12 +213,9 @@ class CheckpointStore:
         on the platter"); empty when the piece keeps no payload."""
         if obj.payload is None:
             return []
-        views = []
-        for p in obj.payload.payloads:
-            for arr in (p.unit_bytes, p.versions):
-                if arr is not None and arr.size and arr.flags.c_contiguous:
-                    views.append(arr.view(np.uint8).reshape(-1))
-        return views
+        return [p.versions.view(np.uint8).reshape(-1)
+                for p in obj.payload.payloads
+                if p.versions.size and p.versions.flags.c_contiguous]
 
     def truncate_piece(self, rank: int, seq: int, *,
                        keep_bytes: Optional[int] = None) -> StoredObject:
@@ -256,9 +253,7 @@ class CheckpointStore:
 
         def head(p, n):
             return dataclasses.replace(
-                p, indices=p.indices[:n], versions=p.versions[:n],
-                unit_bytes=(None if p.unit_bytes is None
-                            else p.unit_bytes[:n]))
+                p, indices=p.indices[:n], versions=p.versions[:n])
 
         kept = list(payload.payloads)
         while kept:

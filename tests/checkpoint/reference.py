@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkpoint import DcpCheckpointer, IncrementalCheckpointer
-from repro.checkpoint.full import unit_bytes_of
 from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 
 
@@ -86,9 +85,7 @@ class DenseCheckpointer(IncrementalCheckpointer):
                                             new_from)
             if len(indices):
                 payloads.append(Payload(
-                    sid=seg.sid, indices=indices, versions=versions,
-                    unit_bytes=unit_bytes_of(seg, indices,
-                                             self.block_size)))
+                    sid=seg.sid, indices=indices, versions=versions))
         page_size = self.memory.page_size
         ckpt = Checkpoint(
             seq=seq,

@@ -6,11 +6,10 @@ Two pillars, both hypothesis-driven:
    are checkpointed as a full plus dcp deltas at random block sizes
    (including the 1-byte edge case); truncating the chain at *every*
    prefix and replaying must reproduce the state recorded at that
-   capture bit-identically -- version-identical on the signature
-   backend, content-identical on the bytes backend.
-2. **Hash vectors are deterministic.**  The per-page block hash vector
-   is a pure function of the segment's history: two identical runs
-   produce equal vectors, element for element, on both backends.
+   capture version-identically.
+2. **Block version vectors are deterministic.**  The per-block write
+   versions are a pure function of the segment's history: two identical
+   runs produce equal vectors, element for element.
 """
 
 import numpy as np
@@ -19,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (DcpCheckpointer, FullCheckpointer,
-                              content_block_hashes, restore_address_space)
+                              restore_address_space)
 from repro.errors import CheckpointError
 from repro.mem import AddressSpace, Layout
 
@@ -36,51 +35,37 @@ writes = st.lists(
 histories = st.lists(writes, min_size=1, max_size=5)
 
 
-def make_space(store_contents):
-    asp = AddressSpace(LAYOUT, data_size=DATA_PAGES * PS, bss_size=PS,
-                       store_contents=store_contents)
+def make_space():
+    asp = AddressSpace(LAYOUT, data_size=DATA_PAGES * PS, bss_size=PS)
     asp.protect_data()
     return asp
 
 
-def apply_interval(asp, rng, interval, store_contents):
+def apply_interval(asp, interval):
     for offset, length in interval:
         length = min(length, DATA_PAGES * PS - offset)
-        data = (rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
-                if store_contents else None)
-        asp.cpu_write(asp.data.base + offset, length, data=data)
+        asp.cpu_write(asp.data.base + offset, length)
 
 
-def content_of(asp):
-    # keyed like state_signature(): sid allocation is a process-global
-    # counter, so restored spaces never share sids with the original
-    return {(seg.kind.value, seg.base): bytes(seg.contents)
-            for seg in asp.data_segments() if seg.npages}
-
-
-def build_chain(asp, block_size, rng, history, store_contents, snapshot):
-    """Full + one dcp delta per interval; ``snapshot(asp)`` records the
-    comparable state right after each capture."""
+def build_chain(asp, block_size, history):
+    """Full + one dcp delta per interval, plus the state signature
+    recorded right after each capture."""
     dcp = DcpCheckpointer(asp, block_size=block_size)
     chain = [FullCheckpointer().capture(asp, seq=0)]
     dcp.mark_baseline()
-    states = [snapshot(asp)]
+    states = [asp.state_signature()]
     for seq, interval in enumerate(history, start=1):
-        apply_interval(asp, rng, interval, store_contents)
+        apply_interval(asp, interval)
         chain.append(dcp.capture(seq=seq))
-        states.append(snapshot(asp))
+        states.append(asp.state_signature())
     return chain, states
 
 
 @settings(max_examples=25, deadline=None)
-@given(block_size=st.sampled_from(BLOCK_SIZES), history=histories,
-       seed=st.integers(0, 2**32 - 1))
-def test_restore_version_identical_at_every_crash_point(block_size, history,
-                                                        seed):
-    rng = np.random.default_rng(seed)
-    asp = make_space(False)
-    chain, states = build_chain(asp, block_size, rng, history, False,
-                                lambda a: a.state_signature())
+@given(block_size=st.sampled_from(BLOCK_SIZES), history=histories)
+def test_restore_version_identical_at_every_crash_point(block_size, history):
+    asp = make_space()
+    chain, states = build_chain(asp, block_size, history)
     for k in range(1, len(chain) + 1):
         restored = restore_address_space(chain[:k], layout=LAYOUT)
         assert AddressSpace.signatures_equal(
@@ -88,46 +73,15 @@ def test_restore_version_identical_at_every_crash_point(block_size, history,
             f"crash after piece {k - 1} restored a different state"
 
 
-@settings(max_examples=10, deadline=None)
-@given(block_size=st.sampled_from([1, 64, 512, PS]), history=histories,
-       seed=st.integers(0, 2**32 - 1))
-def test_restore_content_bit_identical_on_bytes_backend(block_size, history,
-                                                        seed):
-    rng = np.random.default_rng(seed)
-    asp = make_space(True)
-    chain, states = build_chain(asp, block_size, rng, history, True,
-                                content_of)
-    for k in range(1, len(chain) + 1):
-        restored = restore_address_space(chain[:k], layout=LAYOUT)
-        assert content_of(restored) == states[k - 1], \
-            f"crash after piece {k - 1} restored different bytes"
-
-
 @settings(max_examples=20, deadline=None)
-@given(block_size=st.sampled_from([16, 256, PS]), history=histories,
-       seed=st.integers(0, 2**32 - 1))
-def test_content_hash_vectors_deterministic(block_size, history, seed):
+@given(history=histories)
+def test_block_version_vectors_deterministic(history):
     vecs = []
     for _ in range(2):
-        rng = np.random.default_rng(seed)
-        asp = make_space(True)
-        for interval in history:
-            apply_interval(asp, rng, interval, True)
-        pages = np.arange(asp.data.npages)
-        vecs.append(content_block_hashes(asp.data, pages, block_size))
-    assert np.array_equal(vecs[0], vecs[1])
-
-
-@settings(max_examples=20, deadline=None)
-@given(history=histories, seed=st.integers(0, 2**32 - 1))
-def test_block_version_vectors_deterministic(history, seed):
-    vecs = []
-    for _ in range(2):
-        rng = np.random.default_rng(seed)
-        asp = make_space(False)
+        asp = make_space()
         asp.enable_block_tracking(64)
         for interval in history:
-            apply_interval(asp, rng, interval, False)
+            apply_interval(asp, interval)
         vecs.append(asp.data.blocks.versions.copy())
     assert np.array_equal(vecs[0], vecs[1])
 
@@ -136,7 +90,7 @@ def test_restore_exact_through_heap_shrink_and_regrow():
     # the stale-baseline hazard: a heap page freed and re-mapped between
     # checkpoints must be re-emitted whole even if its hashes match the
     # pre-shrink baseline
-    asp = make_space(False)
+    asp = make_space()
     dcp = DcpCheckpointer(asp, block_size=64)
     asp.sbrk(2 * PS)
     asp.cpu_write(asp.heap.base, 2 * PS)
@@ -152,7 +106,7 @@ def test_restore_exact_through_heap_shrink_and_regrow():
 
 
 def test_invalid_block_sizes_rejected():
-    asp = make_space(False)
+    asp = make_space()
     for bad in (0, -1, 3, PS + 1, PS - 1):
         with pytest.raises(CheckpointError):
             DcpCheckpointer(asp, block_size=bad)

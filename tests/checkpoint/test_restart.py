@@ -204,22 +204,20 @@ def test_apply_chain_recreates_transient_mmaps():
     # a checkpoint taken while a transient allocation (Sage's per-
     # iteration temporaries) was live carries that mmap segment; a
     # restarted process hasn't made the allocation yet, so apply_chain
-    # must rebuild it at its recorded address, bit for bit
+    # must rebuild it at its recorded address, version for version
     from repro.checkpoint import FullCheckpointer
     from repro.mem import Layout
     from repro.units import KiB
 
     ps = 16 * KiB
     layout = Layout(page_size=ps)
-    original = AddressSpace(layout, data_size=4 * ps, bss_size=2 * ps,
-                            store_contents=True)
+    original = AddressSpace(layout, data_size=4 * ps, bss_size=2 * ps)
     original.cpu_write(original.data.base, 2 * ps)
     temp = original.mmap(2 * ps)
     original.cpu_write(temp.base, 2 * ps)
     chain = [FullCheckpointer().capture(original, seq=0)]
 
-    fresh = AddressSpace(layout, data_size=4 * ps, bss_size=2 * ps,
-                         store_contents=True)
+    fresh = AddressSpace(layout, data_size=4 * ps, bss_size=2 * ps)
     apply_chain(fresh, chain, strict=True)
     assert AddressSpace.signatures_equal(fresh.state_signature(),
                                          original.state_signature())

@@ -24,16 +24,13 @@ PAGE = 128
 
 
 def make_ckpt(seq, kind, npages):
-    rng = np.random.default_rng([seq, npages])
     return Checkpoint(
         seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
         geometry=(SegmentRecord(sid=1, kind="data", base=0, npages=npages),),
         payloads=(Payload(
             sid=1,
             indices=np.arange(npages, dtype=np.int64),
-            versions=np.arange(1, npages + 1, dtype=np.uint64),
-            unit_bytes=rng.integers(0, 256, size=(npages, PAGE),
-                                    dtype=np.uint8)),))
+            versions=np.arange(seq, seq + npages, dtype=np.uint64)),))
 
 
 def build_chain(data):

@@ -105,16 +105,6 @@ def test_arena_cap_bounds_parked_segments():
     assert sum(len(v) for v in asp._arena.values()) == 2
 
 
-def test_bytes_backend_segments_are_not_parked():
-    asp = make_space(store_contents=True)
-    seg = asp.mmap(2 * PS)
-    assert seg.contents is not None
-    asp.munmap(seg.base, seg.size)
-    assert asp._arena == {}
-    again = asp.mmap(2 * PS)
-    assert again is not seg             # fresh zero-filled mapping
-
-
 def test_map_listeners_fire_on_reuse():
     """Trackers re-protect via the map listener; reuse must look like a
     brand-new mapping to them."""

@@ -5,6 +5,7 @@ outright garbage -- and never crash, hang, or return nonsense exit
 codes."""
 
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.cli import main
 from repro.storage import CheckpointStore
-from repro.storage.archive import MAGIC, save_store, scan_store
+from repro.errors import StorageError
+from repro.storage.archive import (MAGIC, _decode_payload, _frame,
+                                   save_store, scan_store)
 
 PAGE = 64
 
@@ -27,16 +30,14 @@ def tiny_store():
     for rank in range(2):
         for i, seq in enumerate((1, 3)):
             kind = "full" if i == 0 else "incremental"
-            rng = np.random.default_rng([rank, seq])
             ckpt = Checkpoint(
                 seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
                 geometry=(SegmentRecord(sid=1, kind="data", base=0,
                                         npages=2),),
                 payloads=(Payload(
                     sid=1, indices=np.arange(2, dtype=np.int64),
-                    versions=np.arange(1, 3, dtype=np.uint64),
-                    unit_bytes=rng.integers(0, 256, size=(2, PAGE),
-                                            dtype=np.uint8)),))
+                    versions=np.arange(10 * rank + seq, 10 * rank + seq + 2,
+                                       dtype=np.uint64)),))
             store.put(rank, seq, kind, ckpt.nbytes, payload=ckpt,
                       stored_at=float(seq))
     store.mark_committed(1)
@@ -134,6 +135,39 @@ def test_cli_verify_exit_codes_stay_in_contract(archive_bytes, tmp_path):
 
     missing = tmp_path / "nope.rckpt"
     assert main(["ckpt", "verify", str(missing)], out=io.StringIO()) == 2
+
+
+def test_payload_flagging_unit_bytes_is_refused(tmp_path):
+    """The third field of a payload entry flags per-unit byte content,
+    which the format does not carry: an archive that sets it is refused
+    as malformed input, not loaded."""
+    meta = {"seq": 1, "kind": "full", "taken_at": 1.0, "page_size": PAGE,
+            "geometry": [[1, "data", 0, 2]], "payloads": [[1, 2, True]]}
+    blob = b"".join([
+        _frame(json.dumps(meta, sort_keys=True).encode()),
+        np.arange(2, dtype=np.int64).tobytes(),
+        np.arange(1, 3, dtype=np.uint64).tobytes(),
+        np.full(2 * PAGE, 0xAB, dtype=np.uint8).tobytes()])
+    with pytest.raises(StorageError, match="flags unit byte content"):
+        _decode_payload(blob)
+
+    piece = {"rank": 0, "seq": 1, "kind": "full", "nbytes": 2 * PAGE + 64,
+             "stored_at": 1.0, "digest": "0" * 32, "prev_digest": None,
+             "base_digest": None, "payload_len": len(blob)}
+    header = {"nranks": 1, "committed": [1], "pieces": 1}
+    path = tmp_path / "flagged.rckpt"
+    path.write_bytes(b"".join([
+        MAGIC, _frame(json.dumps(header, sort_keys=True).encode()),
+        _frame(json.dumps(piece, sort_keys=True).encode()), blob]))
+    report = scan_must_report(path)
+    assert not report.ok
+    (scan,) = report.pieces
+    assert scan.status == "unreadable"
+    assert "flags unit byte content" in scan.detail
+
+    out = io.StringIO()
+    assert main(["ckpt", "verify", str(path)], out=out) == 1
+    assert "UNREADABLE" in out.getvalue()
 
 
 def test_failed_save_leaves_previous_archive_intact(tmp_path, monkeypatch):

@@ -12,19 +12,15 @@ from repro.storage.integrity import verify_chain
 PAGE = 256
 
 
-def make_ckpt(seq, kind, *, sid=1, npages=4, version0=1, with_bytes=True):
-    rng = np.random.default_rng([seq, npages, version0])
+def make_ckpt(seq, kind, *, sid=1, npages=4, version0=1):
     indices = np.arange(npages, dtype=np.int64)
     versions = np.arange(version0, version0 + npages, dtype=np.uint64)
-    page_bytes = (rng.integers(0, 256, size=(npages, PAGE), dtype=np.uint8)
-                  if with_bytes else None)
     return Checkpoint(seq=seq, kind=kind, taken_at=float(seq),
                       page_size=PAGE,
                       geometry=(SegmentRecord(sid=sid, kind="data", base=0,
                                               npages=npages),),
                       payloads=(Payload(sid=sid, indices=indices,
-                                        versions=versions,
-                                        unit_bytes=page_bytes),))
+                                        versions=versions),))
 
 
 def build_store(nranks=1, seqs=(1, 3, 5, 7), full_at=(1,)):
@@ -55,14 +51,13 @@ def test_digest_is_deterministic_and_metadata_sensitive():
 
 def test_digest_covers_payload_content():
     a = make_ckpt(1, "full")
-    flipped = a.payloads[0].unit_bytes.copy()
-    flipped[0, 0] ^= 1
+    flipped = a.payloads[0].versions.copy()
+    flipped[0] ^= 1
     b = Checkpoint(seq=a.seq, kind=a.kind, taken_at=a.taken_at,
                    page_size=a.page_size, geometry=a.geometry,
                    payloads=(Payload(sid=1,
                                      indices=a.payloads[0].indices,
-                                     versions=a.payloads[0].versions,
-                                     unit_bytes=flipped),))
+                                     versions=flipped),))
     assert (piece_digest(0, 1, "full", a.nbytes, a)
             != piece_digest(0, 1, "full", b.nbytes, b))
 
@@ -139,8 +134,8 @@ def test_flip_bits_is_detected_and_deterministic():
     assert not bad.ok and bad.reason == "digest-mismatch"
     # deterministic: both stores corrupted identically
     pa, pb = a.find(0, 5).payload, b.find(0, 5).payload
-    assert np.array_equal(pa.payloads[0].unit_bytes,
-                          pb.payloads[0].unit_bytes)
+    assert np.array_equal(pa.payloads[0].versions,
+                          pb.payloads[0].versions)
     # chain verification stops at the flipped piece
     outcome = a.verify_chain(0)
     assert outcome.verified == (1, 3)
@@ -151,8 +146,8 @@ def test_flip_bits_different_seed_different_bits():
     a, b = build_store(), build_store()
     a.flip_bits(0, 5, seed=1)
     b.flip_bits(0, 5, seed=2)
-    same = np.array_equal(a.find(0, 5).payload.payloads[0].unit_bytes,
-                          b.find(0, 5).payload.payloads[0].unit_bytes)
+    same = np.array_equal(a.find(0, 5).payload.payloads[0].versions,
+                          b.find(0, 5).payload.payloads[0].versions)
     assert not same
 
 
