@@ -110,6 +110,14 @@ class CheckpointEngine:
         self._incremental: dict[int, IncrementalCheckpointer] = {}
         self._full = FullCheckpointer()
         self._captures: dict[int, int] = {}
+        #: captures taken, per checkpoint kind, and their bytes
+        self.captures_by_kind: dict[str, int] = {}
+        self.bytes_captured = 0
+        #: sub-page (dcp) captures: blocks hashed by each, and blocks
+        #: written and bytes saved against page-mode deltas, summed
+        self.dcp_blocks_hashed: list[int] = []
+        self.dcp_blocks_written = 0
+        self.dcp_bytes_saved = 0
         self.globals: dict[int, GlobalCheckpoint] = {}
         #: model copy-on-write interference during write-out windows
         self.cow = cow
@@ -128,7 +136,6 @@ class CheckpointEngine:
         self._force_full: set[int] = set()
         #: precomputed per-rank track names for the capture hot path
         self._tracks = {r: f"ckpt.r{r}" for r in range(job.nranks)}
-        self._obs_cache = None
         # run after the library's own init hook, so the tracker exists
         job.init_hooks.append(self._on_rank_start)
 
@@ -183,40 +190,21 @@ class CheckpointEngine:
             # only a kept piece can head a restore, which must reproduce
             # exactly this state (see recovery.apply_chain)
             ckpt = replace(ckpt, state_digest=memory.state_digest())
-        obs = self.job.engine.obs
-        if obs.enabled:
-            cache = self._obs_cache
-            if cache is None or cache[0] is not obs:
-                tracer = obs.tracer
-                cache = self._obs_cache = (
-                    obs,
-                    tracer if tracer.enabled and tracer.wants("checkpoint")
-                    else None)
-            m = obs.metrics
-            m.counter("checkpoint.captures").inc()
-            m.counter(f"checkpoint.captures_{ckpt.kind}").inc()
-            m.counter("checkpoint.bytes_captured").inc(ckpt.nbytes)
-            if ckpt.kind == "dcp":
-                # sub-page units: inc is the DcpCheckpointer, and its
-                # last_* stats describe exactly this capture.  The hash
-                # cost is an observability figure only -- never charged
-                # to sim time, so dcp and incremental runs stay
-                # sim-identical.
-                from repro.storage.integrity import HASH_BANDWIDTH
-                m.counter("ckpt.dcp.blocks_hashed").inc(
-                    inc.last_blocks_hashed)
-                m.counter("ckpt.dcp.blocks_written").inc(
-                    inc.last_blocks_written)
-                m.counter("ckpt.dcp.bytes_saved").inc(
-                    max(0, inc.last_page_mode_nbytes - ckpt.nbytes))
-                m.counter("ckpt.dcp.hash_cost_s").inc(
-                    inc.last_blocks_hashed * ckpt.block_size
-                    / HASH_BANDWIDTH)
-            tracer = cache[1]
-            if tracer is not None:
-                tracer.instant("capture", "checkpoint", now,
-                               track=self._tracks[rank], seq=seq,
-                               kind=ckpt.kind, bytes=ckpt.nbytes)
+        kind = ckpt.kind
+        self.captures_by_kind[kind] = self.captures_by_kind.get(kind, 0) + 1
+        self.bytes_captured += ckpt.nbytes
+        if kind == "dcp":
+            # sub-page units: inc is the DcpCheckpointer, and its last_*
+            # stats describe exactly this capture
+            self.dcp_blocks_hashed.append(inc.last_blocks_hashed)
+            self.dcp_blocks_written += inc.last_blocks_written
+            self.dcp_bytes_saved += max(
+                0, inc.last_page_mode_nbytes - ckpt.nbytes)
+        tracer = self.job.engine.obs.tracer
+        if tracer.enabled and tracer.wants("checkpoint"):
+            tracer.instant("capture", "checkpoint", now,
+                           track=self._tracks[rank], seq=seq,
+                           kind=kind, bytes=ckpt.nbytes)
         self._submit(rank, ckpt, tracker)
 
     def _submit(self, rank: int, ckpt, tracker: DirtyPageTracker) -> None:
@@ -282,16 +270,13 @@ class CheckpointEngine:
         if record.ranks_stored == self.job.nranks:
             record.committed_at = done_at
             self.store.mark_committed(seq)
-            obs = self.job.engine.obs
-            if obs.enabled:
-                obs.metrics.counter("checkpoint.commits").inc()
-                tracer = obs.tracer
-                if tracer.enabled and tracer.wants("checkpoint"):
-                    tracer.complete("commit", "checkpoint",
-                                    record.requested_at,
-                                    record.commit_latency, track="ckpt.global",
-                                    seq=seq, kind=record.kind,
-                                    bytes=record.total_bytes)
+            tracer = self.job.engine.obs.tracer
+            if tracer.enabled and tracer.wants("checkpoint"):
+                tracer.complete("commit", "checkpoint",
+                                record.requested_at,
+                                record.commit_latency, track="ckpt.global",
+                                seq=seq, kind=record.kind,
+                                bytes=record.total_bytes)
             if self.gc and record.kind == "full":
                 self._collect_garbage(seq)
 
@@ -302,14 +287,11 @@ class CheckpointEngine:
         force the rank's next capture to be full, which re-heads its
         chain."""
         self.write_failures.append((rank, seq))
-        obs = self.job.engine.obs
-        if obs.enabled:
-            obs.metrics.counter("checkpoint.write_failures").inc()
-            tracer = obs.tracer
-            if tracer.enabled and tracer.wants("checkpoint"):
-                tracer.instant("write-failed", "checkpoint",
-                               self.job.engine.now, track=f"ckpt.r{rank}",
-                               seq=seq)
+        tracer = self.job.engine.obs.tracer
+        if tracer.enabled and tracer.wants("checkpoint"):
+            tracer.instant("write-failed", "checkpoint",
+                           self.job.engine.now, track=f"ckpt.r{rank}",
+                           seq=seq)
         self._poisoned.add(seq)
         self.store.discard(rank, seq)
         # disks are FIFO, so later pieces cannot have become durable yet;

@@ -217,12 +217,13 @@ class CheckpointTransport:
         self.pieces = 0
         self.failed_pieces = 0
         self.frames_sent = 0
-        self.stalls = 0
-        self.stall_time = 0.0
+        #: frames whose durability the drain ledger has retired
+        self.frames_drained = 0
+        #: each backpressure stall charged (seconds), in charge order
+        self.stall_log: list[float] = []
         self._busy_until = [0.0] * nranks
         self._busy_time = [0.0] * nranks
         self._samples: list[dict] = []
-        self._obs_cache = None
 
     # -- the coordinated engine's entry points ------------------------------
 
@@ -306,8 +307,8 @@ class CheckpointTransport:
             bytes_drained=sum(q.drained_bytes for q in self.queues.values()),
             in_flight_bytes=self._in_flight(),
             peak_queue_bytes=self.peak_queue_bytes(),
-            stalls=self.stalls,
-            stall_time=self.stall_time,
+            stalls=len(self.stall_log),
+            stall_time=sum(self.stall_log, 0.0),
             busy_time=self.busy_time(),
             achieved_bandwidth=self.achieved_bandwidth(),
             contention_delay=self.contention_delay(),
@@ -321,21 +322,12 @@ class CheckpointTransport:
             self._busy_time[rank] += end - lo
             self._busy_until[rank] = end
 
-    def _gauge_obs(self, obs):
-        cache = self._obs_cache
-        if cache is None or cache[0] is not obs:
-            m = obs.metrics
-            cache = self._obs_cache = (
-                obs,
-                m.gauge("checkpoint.transport.queue_bytes"),
-                m.gauge("checkpoint.transport.peak_queue_bytes"),
-                m.counter("checkpoint.transport.bytes_drained"),
-                m.counter("checkpoint.transport.frames"),
-                m.counter("checkpoint.transport.stalls"),
-                m.counter("checkpoint.transport.stall_time_s"),
-                m.series("checkpoint.transport.drained_bytes"),
-            )
-        return cache
+    @staticmethod
+    def _drained_series(obs):
+        """The one metric recorded as it happens: bytes made durable
+        per sim-time window, from per-frame durability times that
+        nothing else keeps (:mod:`repro.obs.publish` reads the rest)."""
+        return obs.metrics.series("checkpoint.transport.drained_bytes")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} mode={self.spec.mode!r} "
@@ -405,9 +397,9 @@ class _FramedTransport(CheckpointTransport):
     ``(done_at, PRIORITY_NORMAL, seq)`` is reserved from the engine at
     the moment the event would have been scheduled and queued on a
     per-rank FIFO.  :meth:`_settle` retires the frames whose key sorts
-    before the engine's position into the drain ledger and obs, so every
-    reader sees exactly the ledger one durability event per frame would
-    produce.
+    before the engine's position into the drain ledger (and the
+    ``drained_bytes`` series), so every reader sees exactly the ledger
+    one durability event per frame would produce.
 
     Subclasses set, per rank, the sink's ``reserve`` (``_reserve``), the
     arrival lane (``_lanes``); and, once, ``_send(rank, nbytes)``:
@@ -455,16 +447,9 @@ class _FramedTransport(CheckpointTransport):
             excess = min(nbytes, q.in_flight_bytes
                          - self.spec.max_queue_bytes)
             stall = excess / self._drain_rate
-            self.stalls += 1
-            self.stall_time += stall
-        obs = self.engine.obs
-        if obs.enabled:
-            cache = self._gauge_obs(obs)
-            cache[1].set(self._in_flight())
-            cache[2].set(self.peak_queue_bytes())
-            if stall:
-                cache[5].inc()
-                cache[6].inc(stall)
+            self.stall_log.append(stall)
+        if self.engine.obs.enabled:     # listed from the first piece on
+            self._drained_series(self.engine.obs)
         if not self._injecting[rank]:
             # the first frame draws its seqs at the submit instant
             self._injecting[rank] = True
@@ -567,13 +552,10 @@ class _FramedTransport(CheckpointTransport):
         self._settle()
         now = self.engine.now
         self.queues[rank].drain(frame)
+        self.frames_drained += 1
         obs = self.engine.obs
         if obs.enabled:
-            cache = self._gauge_obs(obs)
-            cache[1].set(self._in_flight())
-            cache[3].inc(frame)
-            cache[4].inc()
-            cache[7].record(now, frame)
+            self._drained_series(obs).record(now, frame)
         deq = self._pending[rank]
         if not deq or deq[0] is not piece:
             raise CheckpointError(
@@ -598,11 +580,13 @@ class _FramedTransport(CheckpointTransport):
         settled = [] if obs.enabled else None
         for rank, fifo in list(self._unsettled.items()):
             nbytes = 0
+            queued = len(fifo)
             while fifo and fifo[0] < pos:
                 entry = fifo.popleft()
                 nbytes += entry[3]
                 if settled is not None:
                     settled.append(entry)
+            self.frames_drained += queued - len(fifo)
             if nbytes:
                 self.queues[rank].drain(nbytes)
             if not fifo:
@@ -612,11 +596,7 @@ class _FramedTransport(CheckpointTransport):
             # events would have fired: the windowed series drops late
             # samples
             settled.sort()
-            cache = self._gauge_obs(obs)
-            cache[1].set(self._in_flight())
-            cache[3].inc(sum(e[3] for e in settled))
-            cache[4].inc(len(settled))
-            series = cache[7]
+            series = self._drained_series(obs)
             for entry in settled:
                 series.record(entry[0], entry[3])
 

@@ -23,6 +23,7 @@ from repro.mem import Layout
 from repro.metrics.bandwidth import IBStats, ib_stats, iws_ratio
 from repro.metrics.stats import FootprintStats, footprint_stats
 from repro.mpi import MPIJob
+from repro.obs.publish import publish_run
 from repro.sim import Engine
 from repro.units import DEFAULT_PAGE_SIZE, MiB
 
@@ -44,8 +45,11 @@ class ExperimentConfig:
     reprotect_cost_per_page: float = 0.2e-6
     cluster: ClusterSpec = PAPER_CLUSTER
     #: checkpoint data path: None (no checkpoint engine, the seed
-    #: behaviour), "estimate", "network", or "diskless"
+    #: behaviour; a fault run, which always checkpoints, reads it as
+    #: "estimate"), "estimate", "network", or "diskless"
     ckpt_transport: Optional[str] = None
+    #: a capture every this many timeslices, a full one every this
+    #: many captures
     ckpt_interval_slices: int = 2
     ckpt_full_every: int = 4
     #: delta unit granularity (bytes): None (or the page size) saves
@@ -227,7 +231,8 @@ def run_experiment(config: ExperimentConfig,
         if p.exception is not None:
             raise p.exception
     if engine.obs.enabled:
-        engine.publish_metrics(engine.obs.metrics)
+        publish_run(engine.obs.metrics, engine=engine, job=job,
+                    library=library, ckpt=ckpt)
 
     rc0 = app.contexts[0]
     return ExperimentResult(

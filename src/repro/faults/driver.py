@@ -54,6 +54,7 @@ from repro.mem import Layout
 from repro.metrics.failures import (CorruptionDetected, FailureRecord,
                                     FaultRunMetrics)
 from repro.mpi import MPIJob
+from repro.obs.publish import publish_run
 from repro.sim import Engine
 from repro.storage import ChainVerification, CheckpointStore
 from repro.storage.integrity import prefix_verification
@@ -113,13 +114,11 @@ class FailureRecoveryDriver:
     """Drives one configuration through a fault plan, life by life."""
 
     def __init__(self, config: ExperimentConfig, plan: FaultPlan, *,
-                 interval_slices: int = 2, full_every: int = 4,
                  detection_latency: float = 0.25,
                  read_bandwidth: Optional[float] = None,
                  verify_integrity: bool = True,
                  integrity_bandwidth: Optional[float] = None,
                  max_failures: int = 1000,
-                 ckpt_transport: str = "estimate",
                  obs=None):
         from repro.obs import NULL_OBS
         plan.validate_for(config.nranks)
@@ -127,10 +126,10 @@ class FailureRecoveryDriver:
             raise FaultPlanError("detection latency must be >= 0")
         if max_failures < 1:
             raise FaultPlanError("max_failures must be >= 1")
+        #: its ckpt_* fields set every life's checkpointing (a None
+        #: transport is "estimate", the seed's flat-duration writes)
         self.config = config
         self.plan = plan
-        self.interval_slices = interval_slices
-        self.full_every = full_every
         self.detection_latency = detection_latency
         self.read_bandwidth = read_bandwidth
         #: verify chain integrity before trusting a committed checkpoint
@@ -142,9 +141,6 @@ class FailureRecoveryDriver:
         #: integrity-unaware runs
         self.integrity_bandwidth = integrity_bandwidth
         self.max_failures = max_failures
-        #: checkpoint data path per life ("estimate" reproduces the
-        #: seed's flat-duration writes bit for bit)
-        self.ckpt_transport = ckpt_transport
         #: observability sink threaded into every life's engine
         self.obs = NULL_OBS if obs is None else obs
         # the same duration resolution as run_experiment, so an empty
@@ -160,6 +156,8 @@ class FailureRecoveryDriver:
         t_now = 0.0
         progress_before = 0.0
         decision: Optional[tuple[int, int, dict]] = None
+        #: result.corruptions before the latest recovery scan
+        self._corruptions_seen = 0
 
         while True:
             life = self._run_life(result, t_now, progress_before, decision)
@@ -211,9 +209,9 @@ class FailureRecoveryDriver:
             for nic in job.nics:
                 nic.strict_dma = False
         ckpt = CheckpointEngine(job, library,
-                                interval_slices=self.interval_slices,
-                                full_every=self.full_every,
-                                transport=self.ckpt_transport,
+                                interval_slices=config.ckpt_interval_slices,
+                                full_every=config.ckpt_full_every,
+                                transport=config.ckpt_transport,
                                 block_size=config.ckpt_block_size)
 
         life = LifeResult(index=index, t_start=t_start, t_end=t_start,
@@ -257,8 +255,13 @@ class FailureRecoveryDriver:
             if rc0.iteration_starts:
                 life.iteration_start = rc0.iteration_starts[0]
         if self.obs.enabled:
-            engine.publish_metrics(self.obs.metrics,
-                                   prefix=f"sim.engine.life{index}")
+            # this life's counts, and the recovery that started it
+            publish_run(self.obs.metrics, engine=engine, job=job,
+                        library=library, ckpt=ckpt, injector=injector,
+                        failures=result.failures[-1:],
+                        corruptions=result.corruptions[
+                            self._corruptions_seen:],
+                        prefix=f"sim.engine.life{index}")
             tracer = self.obs.tracer
             if tracer.enabled and tracer.wants("recovery"):
                 tracer.complete(f"life{index}", "recovery", t_start,
@@ -301,6 +304,7 @@ class FailureRecoveryDriver:
                      if e.kind.fatal), "crash")
         victims = tuple(injector.dead_ranks)
         detected_at = t_fail + self.detection_latency
+        self._corruptions_seen = len(result.corruptions)
 
         target = self._recovery_target(result, detected_at)
         progress_at_fail = self._progress_at(life, t_fail)
@@ -332,18 +336,13 @@ class FailureRecoveryDriver:
             recovery_life=recovery_life, lost_work=lost_work,
             restore_time=restore_time, downtime=downtime,
             restarted_at=restarted_at)
-        if self.obs.enabled:
-            m = self.obs.metrics
-            m.counter("faults.failures").inc()
-            m.counter("faults.lost_work_s").inc(lost_work)
-            m.counter("faults.downtime_s").inc(downtime)
-            tracer = self.obs.tracer
-            if tracer.enabled and tracer.wants("recovery"):
-                tracer.complete("recovery", "recovery", t_fail, downtime,
-                                track="lives", kind=kind,
-                                victims=list(victims), seq=recovered_seq,
-                                lost_work=lost_work,
-                                restore_time=restore_time)
+        tracer = self.obs.tracer
+        if tracer.enabled and tracer.wants("recovery"):
+            tracer.complete("recovery", "recovery", t_fail, downtime,
+                            track="lives", kind=kind,
+                            victims=list(victims), seq=recovered_seq,
+                            lost_work=lost_work,
+                            restore_time=restore_time)
         return record, restarted_at, progress_restored, target
 
     def _recovery_target(self, result: FaultRunResult, detected_at: float
@@ -407,12 +406,6 @@ class FailureRecoveryDriver:
             result.corruptions.append(CorruptionDetected(
                 detected_at=detected_at, life=life.index, rank=rank,
                 seq=bad.seq, reason=bad.reason, rejected_seq=seq))
-            if self.obs.enabled:
-                self.obs.metrics.counter("ckpt.integrity.detected").inc()
-                self.obs.metrics.series("ckpt.integrity.detected_at").record(
-                    detected_at)
-        if not intact and self.obs.enabled:
-            self.obs.metrics.counter("ckpt.integrity.walkbacks").inc()
         return intact
 
     @staticmethod
@@ -426,26 +419,35 @@ class FailureRecoveryDriver:
 
 def run_with_failures(config: ExperimentConfig,
                       plan: FaultPlan, *,
-                      interval_slices: int = 2, full_every: int = 4,
+                      interval_slices: Optional[int] = None,
+                      full_every: Optional[int] = None,
                       detection_latency: float = 0.25,
                       read_bandwidth: Optional[float] = None,
                       verify_integrity: bool = True,
                       integrity_bandwidth: Optional[float] = None,
                       max_failures: int = 1000,
-                      ckpt_transport: str = "estimate",
+                      ckpt_transport: Optional[str] = None,
                       obs=None) -> FaultRunResult:
     """Run one experiment under a fault plan; see
     :class:`FailureRecoveryDriver`.
+
+    The config's ``ckpt_*`` fields set the checkpointing;
+    ``interval_slices``, ``full_every`` and ``ckpt_transport``, when
+    given, replace them.
 
     Same config + same plan ⇒ identical traces, failure records, and
     metrics; an empty plan reproduces
     :func:`~repro.cluster.experiment.run_experiment`'s traces byte for
     byte.
     """
+    changes = {field_name: value for field_name, value in (
+        ("ckpt_interval_slices", interval_slices),
+        ("ckpt_full_every", full_every),
+        ("ckpt_transport", ckpt_transport)) if value is not None}
+    if changes:
+        config = config.scaled(**changes)
     return FailureRecoveryDriver(
-        config, plan, interval_slices=interval_slices,
-        full_every=full_every, detection_latency=detection_latency,
+        config, plan, detection_latency=detection_latency,
         read_bandwidth=read_bandwidth, verify_integrity=verify_integrity,
         integrity_bandwidth=integrity_bandwidth,
-        max_failures=max_failures, ckpt_transport=ckpt_transport,
-        obs=obs).run()
+        max_failures=max_failures, obs=obs).run()

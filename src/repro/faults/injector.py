@@ -131,17 +131,11 @@ class FaultInjector:
         else:  # pragma: no cover - enum is exhaustive
             raise FaultPlanError(f"unknown fault kind {ev.kind!r}")
         self.delivered.append(ev)
-        obs = self.engine.obs
-        if obs.enabled:
-            obs.metrics.counter("faults.delivered").inc()
-            obs.metrics.counter(f"faults.delivered_{ev.kind.value}").inc()
-            if ev.kind.corrupting:
-                obs.metrics.counter("ckpt.integrity.corrupted").inc()
-            tracer = obs.tracer
-            if tracer.enabled and tracer.wants("fault"):
-                tracer.instant(f"fault.{ev.kind.value}", "fault", ev.time,
-                               track="faults", rank=ev.rank,
-                               fatal=ev.kind.fatal)
+        tracer = self.engine.obs.tracer
+        if tracer.enabled and tracer.wants("fault"):
+            tracer.instant(f"fault.{ev.kind.value}", "fault", ev.time,
+                           track="faults", rank=ev.rank,
+                           fatal=ev.kind.fatal)
         if self.on_fault is not None:
             self.on_fault(ev)
         if ev.kind.fatal and self.stop_on_fatal:

@@ -78,14 +78,13 @@ class DirtyPageTracker:
         self._slice_received = 0
         self._slice_overhead = 0.0
         self.total_faults = 0
+        #: pages write-protected again at the alarms so far
+        self.pages_protected = 0
         #: called with (record, tracker) after each slice is logged but
         #: *before* the dirty set is reset -- the seam the incremental
         #: checkpoint engine uses to harvest the slice's dirty pages
         self.slice_listeners: list = []
-        #: per-obs cached alarm-path lookups (track string, counters,
-        #: tracer wants-decision); the alarm fires thousands of times
         self._track = f"rank{self.log.rank}"
-        self._obs_cache = None
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -138,24 +137,6 @@ class DirtyPageTracker:
         cost = nfaults * self.config.fault_cost
         self._charge(cost)
 
-    def _alarm_obs(self, obs):
-        cache = self._obs_cache
-        if cache is None or cache[0] is not obs:
-            tracer = obs.tracer
-            m = obs.metrics
-            cache = self._obs_cache = (
-                obs,
-                tracer if tracer.enabled and tracer.wants("timeslice")
-                else None,
-                m.counter("instrument.slices"),
-                m.counter("instrument.pages_dirtied"),
-                m.counter("instrument.pages_protected"),
-                m.counter("instrument.faults"),
-                m.series("instrument.iws_bytes"),
-                m.series("instrument.dirty_pages"),
-            )
-        return cache
-
     def _on_alarm(self, index: int) -> None:
         """SIGALRM: log the slice, reset, re-protect."""
         mem = self.process.memory
@@ -165,7 +146,7 @@ class DirtyPageTracker:
         faults = self._slice_faults
         obs = self.engine.obs
         listeners = self.slice_listeners
-        if listeners or obs.enabled:
+        if listeners or obs.progress is not None:
             # slow path: a record object is observable this slice
             record = TimesliceRecord(
                 index=index, t_start=self._slice_start, t_end=now,
@@ -182,27 +163,21 @@ class DirtyPageTracker:
                                   iws_bytes, footprint, faults,
                                   self._slice_received, self._slice_overhead)
         protected = mem.reset_and_protect()
+        self.pages_protected += protected
         self._slice_start = now
         self._slice_faults = 0
         self._slice_received = 0
         self._slice_overhead = 0.0
         self._charge(protected * self.config.reprotect_cost_per_page)
         if obs.enabled:
-            (_, tracer, ctr_slices, ctr_dirtied, ctr_protected,
-             ctr_faults, ser_iws, ser_dirty) = self._alarm_obs(obs)
-            if tracer is not None:
+            tracer = obs.tracer
+            if tracer.enabled and tracer.wants("timeslice"):
                 tracer.instant("timeslice", "timeslice", now,
                                track=self._track,
                                index=index, iws_pages=iws_pages,
                                iws_bytes=iws_bytes,
                                faults=faults,
                                footprint_bytes=footprint)
-            ctr_slices.inc()
-            ctr_dirtied.inc(iws_pages)
-            ctr_protected.inc(protected)
-            ctr_faults.inc(faults)
-            ser_iws.record(now, iws_bytes)
-            ser_dirty.record(now, iws_pages)
             if obs.progress is not None:
                 obs.progress.on_slice(self.log.rank, record, now)
 

@@ -81,9 +81,11 @@ class Network:
         #: ``self._deliver`` would mint a fresh bound method per access
         self._deliver_one = self._deliver
         # statistics
+        self.messages_sent = 0
+        self.bytes_sent = 0
         self.messages_delivered = 0
         self.bytes_delivered = 0
-        #: cached (obs, counters, tracer-or-None, track names) for sends
+        #: cached (obs, tracer-or-None, track names) for sends
         self._obs_cache = None
         # -- checkpoint-transport accounting --
         #: per-node time up to which checkpoint frames occupy tx/rx
@@ -95,8 +97,8 @@ class Network:
         #: app messages that are themselves delayed are not attributed)
         self.ckpt_contention_delay = 0.0
         self.ckpt_contended_messages = 0
+        self.ckpt_frames_sent = 0
         self.ckpt_bytes_sent = 0
-        self._ckpt_obs_cache = None
 
     def attach(self, node: int, sink: Callable[[Message], None]) -> None:
         """Register the delivery callback (the NIC) for ``node``."""
@@ -151,14 +153,12 @@ class Network:
             self.ckpt_contention_delay += min(start, busy) - free_from
 
     def _send_obs(self, obs):
-        """Per-obs cached counters/track names for the send hot path."""
+        """Per-obs cached tracer and track names for the send hot path."""
         cache = self._obs_cache
         if cache is None or cache[0] is not obs:
             tracer = obs.tracer
             cache = self._obs_cache = (
                 obs,
-                obs.metrics.counter("net.messages_sent"),
-                obs.metrics.counter("net.bytes_sent"),
                 tracer if tracer.enabled and tracer.wants("net") else None,
                 [f"net.tx{n}" for n in range(self.nnodes)],
             )
@@ -173,11 +173,11 @@ class Network:
         # failed node behave under failure injection.
         now = self.engine.now
         arrival = self._route(msg, now)
+        self.messages_sent += 1
+        self.bytes_sent += msg.size
         obs = self.engine.obs
         if obs.enabled:
-            _, ctr_msgs, ctr_bytes, tracer, tx_tracks = self._send_obs(obs)
-            ctr_msgs.inc()
-            ctr_bytes.inc(msg.size)
+            _, tracer, tx_tracks = self._send_obs(obs)
             if tracer is not None:
                 tracer.complete("net.send", "net", now, arrival - now,
                                 track=tx_tracks[msg.src], dst=msg.dst,
@@ -209,22 +209,22 @@ class Network:
             check(msg.dst)
         now = self.engine.now
         obs = self.engine.obs
+        tracer = None
         if obs.enabled:
-            _, ctr_msgs, ctr_bytes, tracer, tx_tracks = self._send_obs(obs)
+            _, tracer, tx_tracks = self._send_obs(obs)
         schedule_coalesced = self.engine.schedule_coalesced
         deliver_one = self._deliver_one
         arrivals: list[float] = []
         for msg in msgs:
             arrival = self._route(msg, now)
-            if obs.enabled:
-                ctr_msgs.inc()
-                ctr_bytes.inc(msg.size)
-                if tracer is not None:
-                    tracer.complete("net.send", "net", now, arrival - now,
-                                    track=tx_tracks[msg.src], dst=msg.dst,
-                                    size=msg.size, tag=msg.tag)
+            self.bytes_sent += msg.size
+            if tracer is not None:
+                tracer.complete("net.send", "net", now, arrival - now,
+                                track=tx_tracks[msg.src], dst=msg.dst,
+                                size=msg.size, tag=msg.tag)
             arrivals.append(arrival)
             schedule_coalesced(arrival, deliver_one, msg)
+        self.messages_sent += len(msgs)
         return arrivals
 
     # -- checkpoint transport ----------------------------------------------------
@@ -234,18 +234,6 @@ class Network:
         port = StoragePort(name)
         self.storage_ports.append(port)
         return port
-
-    def _ckpt_obs(self, obs):
-        cache = self._ckpt_obs_cache
-        if cache is None or cache[0] is not obs:
-            tracer = obs.tracer
-            cache = self._ckpt_obs_cache = (
-                obs,
-                obs.metrics.counter("net.ckpt_frames"),
-                obs.metrics.counter("net.ckpt_bytes"),
-                tracer if tracer.enabled and tracer.wants("net") else None,
-            )
-        return cache
 
     def storage_send(self, src: int, nbytes: int, *,
                      port: Optional[StoragePort] = None,
@@ -301,13 +289,12 @@ class Network:
             if arrival > self._ckpt_rx_until[dst]:
                 self._ckpt_rx_until[dst] = arrival
             target = dst
+        self.ckpt_frames_sent += 1
         self.ckpt_bytes_sent += nbytes
         obs = self.engine.obs
         if obs.enabled:
-            _, ctr_frames, ctr_bytes, tracer = self._ckpt_obs(obs)
-            ctr_frames.inc()
-            ctr_bytes.inc(nbytes)
-            if tracer is not None:
+            tracer = obs.tracer
+            if tracer.enabled and tracer.wants("net"):
                 tracer.complete("ckpt.frame", "net", inject_at,
                                 arrival - inject_at,
                                 track=f"net.tx{src}", target=target,

@@ -65,39 +65,21 @@ class NIC:
         self.failed = False
         self.messages_dropped = 0
         self._drop_budget = 0
-        #: per-obs cached counters/track/wants for the receive hot path
         self._track = f"nic{node}"
-        self._obs_cache = None
         network.attach(node, self._receive)
 
-    def _recv_obs(self, obs):
-        cache = self._obs_cache
-        if cache is None or cache[0] is not obs:
-            tracer = obs.tracer
-            cache = self._obs_cache = (
-                obs,
-                obs.metrics.counter("net.messages_received"),
-                obs.metrics.counter("net.bytes_received"),
-                tracer if tracer.enabled and tracer.wants("net") else None,
-            )
-        return cache
-
     def _receive(self, msg: Message) -> None:
-        obs = self.engine.obs
         if self.failed or self._drop_budget > 0:
             if not self.failed:
                 self._drop_budget -= 1
             self.messages_dropped += 1
-            if obs.enabled:
-                obs.metrics.counter("net.messages_dropped").inc()
             return
         self.bytes_received += msg.size
         self.messages_received += 1
+        obs = self.engine.obs
         if obs.enabled:
-            _, ctr_msgs, ctr_bytes, tracer = self._recv_obs(obs)
-            ctr_msgs.inc()
-            ctr_bytes.inc(msg.size)
-            if tracer is not None:
+            tracer = obs.tracer
+            if tracer.enabled and tracer.wants("net"):
                 tracer.instant("nic.recv", "net", self.engine.now,
                                track=self._track, src=msg.src,
                                size=msg.size, tag=msg.tag)

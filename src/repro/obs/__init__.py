@@ -15,12 +15,14 @@ package makes the reproduction's own runtime measurable.  One
 It threads through the stack via :class:`~repro.sim.Engine` -- every
 instrumented component reaches its engine's ``obs`` attribute -- so one
 object observes a whole experiment, and :data:`NULL_OBS` (the default)
-keeps every call site a single guarded branch:
+keeps every trace site a single guarded branch:
 
-    obs = engine.obs
-    if obs.enabled:
-        obs.tracer.instant(...)
-        obs.metrics.counter("storage.bytes_written").inc(n)
+    tracer = engine.obs.tracer
+    if tracer.enabled and tracer.wants("storage"):
+        tracer.complete("disk.write", "storage", start, duration)
+
+Metrics need no call site: :func:`~repro.obs.publish.publish_run`
+reads the components' own counts once a run (or fault-run life) ends.
 
 Determinism contract: all trace timestamps/durations are virtual time,
 so same-seed runs produce bit-identical sim-time event streams (wall
@@ -31,7 +33,7 @@ byte-identical with or without the plumbing.
 """
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               ScopedMetrics, WindowedSeries)
+                               WindowedSeries)
 from repro.obs.probe import ProgressReporter, probe
 from repro.obs.prof import EngineProfiler, load_profile, render_profile
 from repro.obs.tracer import (DEFAULT_CATEGORIES, ENGINE_DISPATCH,
@@ -86,7 +88,6 @@ __all__ = [
     "NullTracer",
     "Observability",
     "ProgressReporter",
-    "ScopedMetrics",
     "Tracer",
     "WindowedSeries",
     "load_profile",

@@ -14,9 +14,9 @@ to one of three instrument kinds:
   (``registry.series()``), so rates like drain throughput or dirty
   pages can be exported *over sim time* instead of as one final total.
 
-``registry.scoped("checkpoint")`` returns a view that prefixes every
-name, so a subsystem can own its namespace without threading strings
-around.  Snapshots are plain dicts (sorted by name) for JSON dumps,
+A simulation run's counts reach the registry once, when it ends
+(:mod:`repro.obs.publish`); sweep counters and wall-time probes
+record as they go.  Snapshots are plain dicts (sorted by name) for JSON dumps,
 :meth:`MetricsRegistry.render_text` is the human-readable form, and
 :meth:`MetricsRegistry.dump_series` writes every windowed series as
 per-window JSONL.
@@ -278,10 +278,6 @@ class MetricsRegistry:
                 f"requested {cls.kind}")
         return metric
 
-    def scoped(self, prefix: str) -> "ScopedMetrics":
-        """A view that prepends ``prefix.`` to every metric name."""
-        return ScopedMetrics(self, prefix)
-
     # -- introspection ------------------------------------------------------
 
     def names(self) -> list[str]:
@@ -371,38 +367,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MetricsRegistry metrics={len(self._metrics)}>"
-
-
-class ScopedMetrics:
-    """A prefixing view over a :class:`MetricsRegistry`."""
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str):
-        self._registry = registry
-        self._prefix = prefix.rstrip(".")
-
-    def counter(self, name: str) -> Counter:
-        """The underlying registry's counter ``<prefix>.<name>``."""
-        return self._registry.counter(f"{self._prefix}.{name}")
-
-    def gauge(self, name: str) -> Gauge:
-        """The underlying registry's gauge ``<prefix>.<name>``."""
-        return self._registry.gauge(f"{self._prefix}.{name}")
-
-    def histogram(self, name: str) -> Histogram:
-        """The underlying registry's histogram ``<prefix>.<name>``."""
-        return self._registry.histogram(f"{self._prefix}.{name}")
-
-    def series(self, name: str, window: float = 1.0,
-               capacity: int = 512) -> WindowedSeries:
-        """The underlying registry's series ``<prefix>.<name>``."""
-        return self._registry.series(f"{self._prefix}.{name}",
-                                     window=window, capacity=capacity)
-
-    def scoped(self, prefix: str) -> "ScopedMetrics":
-        """A deeper view: ``<this prefix>.<prefix>``."""
-        return ScopedMetrics(self._registry, f"{self._prefix}.{prefix}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ScopedMetrics prefix={self._prefix!r}>"

@@ -471,11 +471,5 @@ class Engine:
         self._n_cancelled_total = 0
         self._n_compactions = 0
 
-    def publish_metrics(self, metrics, prefix: str = "sim.engine") -> None:
-        """Snapshot :meth:`stats` into gauges of a
-        :class:`~repro.obs.MetricsRegistry`."""
-        for name, value in self.stats().items():
-            metrics.gauge(f"{prefix}.{name}").set(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self._now:.6f} pending={self.pending_events()}>"

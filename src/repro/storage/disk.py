@@ -67,12 +67,6 @@ class Disk:
             ok = True
         obs = self.engine.obs
         if obs.enabled:
-            m = obs.metrics
-            if ok:
-                m.counter("storage.bytes_written").inc(nbytes)
-                m.counter(f"storage.{self.name}.bytes_written").inc(nbytes)
-            else:
-                m.counter("storage.writes_failed").inc()
             tracer = obs.tracer
             if tracer.enabled and tracer.wants("storage"):
                 tracer.complete("disk.write", "storage", start, duration,

@@ -156,6 +156,31 @@ def test_experiment_entry_point_is_the_driver():
     assert via_experiment.final_time == direct.final_time
 
 
+def test_fault_run_checkpoints_as_the_config_says():
+    # the config's ckpt_* fields, not driver defaults, set each life's
+    # checkpointing: a capture every slice, one full, network frames
+    config = CONFIG.scaled(ckpt_transport="network", ckpt_interval_slices=1,
+                           ckpt_full_every=8)
+    res = run_with_failures(config, FaultPlan.none())
+    ref = run_experiment(config)
+    life = res.lives[0]
+    assert life.transport_stats.mode == "network"
+    assert life.transport_stats.frames == ref.transport_stats.frames > 0
+    assert len(life.committed) == ref.ckpt_commits > 8
+    assert [gc.kind for gc in life.committed[:9]] == (
+        ["full"] + ["incremental"] * 7 + ["full"])
+
+
+def test_fault_run_keywords_replace_the_config_fields():
+    config = CONFIG.scaled(ckpt_transport="network", ckpt_interval_slices=1)
+    res = run_with_failures(config, FaultPlan.none(), interval_slices=2,
+                            full_every=3, ckpt_transport="estimate")
+    assert (res.config.ckpt_transport, res.config.ckpt_interval_slices,
+            res.config.ckpt_full_every) == ("estimate", 2, 3)
+    assert res.lives[0].transport_stats.mode == "estimate"
+    assert res.lives[0].committed == run_reference().lives[0].committed
+
+
 def test_driver_parameter_validation():
     with pytest.raises(FaultPlanError):
         FailureRecoveryDriver(CONFIG, FaultPlan.none(), detection_latency=-1.0)

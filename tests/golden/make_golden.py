@@ -20,7 +20,8 @@ from repro.apps.registry import paper_spec
 from repro.apps.synthetic import small_spec
 from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
-from repro.obs import Observability, Tracer, strip_wall_times
+from repro.obs import (MetricsRegistry, Observability, Tracer,
+                       strip_wall_times)
 
 HERE = Path(__file__).parent
 
@@ -75,6 +76,25 @@ DCP_CONFIG = ExperimentConfig(
     run_duration=6.0, ckpt_transport="network",
     ckpt_interval_slices=2, ckpt_full_every=5,
     ckpt_block_size=256)
+
+
+#: the metrics golden: the whole ``--metrics-out`` registry of four
+#: small lu runs -- network transport; diskless at 256-byte dcp blocks
+#: (the ``ckpt.dcp.*`` counters); a network-transport fault run under
+#: the CI integrity plan, a bit-flip in rank 1's seq 9 and then a crash
+#: (the per-life engine gauges, ``faults.*``, ``ckpt.integrity.*`` and
+#: a stopped life's in-flight gauges); and the CI observability smoke's
+#: seeded exponential fault run (several lives, estimate transport)
+METRICS_CONFIG = ExperimentConfig(
+    spec=paper_spec("lu"), nranks=2, timeslice=0.5, run_duration=8.0,
+    ckpt_transport="network")
+METRICS_DISKLESS_CONFIG = dataclasses.replace(
+    METRICS_CONFIG, ckpt_transport="diskless", ckpt_block_size=256)
+METRICS_FAULT_PLAN = FaultPlan([
+    FaultEvent(5.1, FaultKind.FLIP, 1, seq=9),
+    FaultEvent(5.3, FaultKind.CRASH, 0)])
+METRICS_MTBF_PLAN = FaultPlan.exponential(mtbf=6.0, nranks=2,
+                                          horizon=24.0, seed=3)
 
 
 def canonical_events(tracer: Tracer) -> str:
@@ -250,6 +270,41 @@ def dcp_payload() -> dict:
     }
 
 
+def registry_payload(metrics: MetricsRegistry) -> dict:
+    """Every counter, gauge and series of a registry, each series with
+    its retained windows; histograms hold wall-clock durations, so they
+    are left out."""
+    out = {}
+    for name, entry in metrics.snapshot().items():
+        if entry["kind"] == "histogram":
+            continue
+        if entry["kind"] == "series":
+            entry = dict(entry, windows=metrics.series(
+                name, window=entry["window"]).windows())
+        out[name] = entry
+    return out
+
+
+def metrics_payload() -> dict:
+    runs = {}
+    for name, config in (("network", METRICS_CONFIG),
+                         ("diskless_dcp", METRICS_DISKLESS_CONFIG)):
+        obs = Observability(metrics=MetricsRegistry())
+        run_experiment(config, obs=obs)
+        runs[name] = registry_payload(obs.metrics)
+    obs = Observability(metrics=MetricsRegistry())
+    run_with_failures(METRICS_CONFIG, METRICS_FAULT_PLAN,
+                      interval_slices=2, full_every=4,
+                      ckpt_transport="network", obs=obs)
+    runs["faults_integrity"] = registry_payload(obs.metrics)
+    obs = Observability(metrics=MetricsRegistry())
+    run_with_failures(dataclasses.replace(METRICS_CONFIG,
+                                          ckpt_transport=None),
+                      METRICS_MTBF_PLAN, obs=obs)
+    runs["faults_mtbf"] = registry_payload(obs.metrics)
+    return runs
+
+
 def main() -> None:
     for name, payload in (("golden_trace.json", trace_payload()),
                           ("golden_faults.json", faults_payload()),
@@ -257,7 +312,8 @@ def main() -> None:
                           ("golden_transport_diskless.json",
                            transport_payload(TRANSPORT_DISKLESS_CONFIG)),
                           ("golden_corruption.json", corruption_payload()),
-                          ("golden_dcp.json", dcp_payload())):
+                          ("golden_dcp.json", dcp_payload()),
+                          ("golden_metrics.json", metrics_payload())):
         path = HERE / name
         path.write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {path}")

@@ -20,8 +20,8 @@ from tests.golden.make_golden import (CORRUPTION_CATEGORIES,
                                       TRANSPORT_DISKLESS_CONFIG,
                                       canonical_events,
                                       corruption_payload, dcp_payload,
-                                      faults_payload, trace_payload,
-                                      transport_payload)
+                                      faults_payload, metrics_payload,
+                                      trace_payload, transport_payload)
 
 HERE = Path(__file__).parent
 
@@ -176,3 +176,27 @@ def test_golden_fault_run_actually_recovers():
     assert len(golden["failures"]) >= 2
     assert golden["n_lives"] == len(golden["failures"]) + 1
     assert golden["metrics"]["availability"] < 1.0
+
+
+def test_metrics_registry_matches_golden_exactly():
+    # every counter and gauge, every series window: --metrics-out and
+    # --series-out of four runs, pinned name for name
+    golden = load("golden_metrics.json")
+    current = json.loads(json.dumps(metrics_payload()))
+    assert sorted(current) == sorted(golden)
+    for run in golden:
+        assert current[run] == golden[run], run
+
+
+def test_golden_metrics_cover_every_source():
+    # guard against the golden being regenerated into trivial runs
+    golden = load("golden_metrics.json")
+    for run in golden.values():
+        assert run["net.messages_sent"]["value"] > 0
+        assert run["instrument.iws_bytes"]["windows"]
+    assert golden["network"]["checkpoint.transport.frames"]["value"] > 0
+    assert golden["diskless_dcp"]["ckpt.dcp.blocks_hashed"]["value"] > 0
+    integrity = golden["faults_integrity"]
+    assert integrity["ckpt.integrity.walkbacks"]["value"] == 1
+    assert "sim.engine.life1.pending" in integrity
+    assert golden["faults_mtbf"]["faults.failures"]["value"] >= 2

@@ -50,15 +50,6 @@ def test_kind_mismatch_rejected():
         reg.gauge("n")
 
 
-def test_scoped_view_prefixes_names():
-    reg = MetricsRegistry()
-    ckpt = reg.scoped("checkpoint")
-    ckpt.counter("commits").inc()
-    ckpt.scoped("r0").gauge("pending").set(2)
-    assert reg.names() == ["checkpoint.commits", "checkpoint.r0.pending"]
-    assert reg.counter("checkpoint.commits").value == 1
-
-
 def test_snapshot_is_sorted_and_json_able():
     reg = MetricsRegistry()
     reg.gauge("z").set(1)
@@ -237,10 +228,3 @@ def test_dump_series_jsonl(tmp_path):
     for line in lines:
         assert set(line) == {"series", "window", "index", "t_start",
                              "t_end", "count", "sum", "min", "max"}
-
-
-def test_scoped_series():
-    reg = MetricsRegistry()
-    reg.scoped("ckpt").series("drained").record(0.5, 4.0)
-    assert reg.names() == ["ckpt.drained"]
-    assert reg.series("ckpt.drained").total == 4.0

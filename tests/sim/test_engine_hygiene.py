@@ -173,6 +173,7 @@ def test_step_counts_toward_dispatched():
 
 def test_publish_metrics_exports_engine_gauges():
     from repro.obs import MetricsRegistry
+    from repro.obs.publish import publish_run
 
     eng = Engine()
     eng.schedule(1.0, int)
@@ -180,7 +181,7 @@ def test_publish_metrics_exports_engine_gauges():
     ev.cancel()
     eng.run()
     reg = MetricsRegistry()
-    eng.publish_metrics(reg)
+    publish_run(reg, engine=eng)
     snap = reg.snapshot()
     assert snap["sim.engine.dispatched"]["value"] == 1
     assert snap["sim.engine.cancelled"]["value"] == 1
