@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.mem import AddressSpace, Segment
@@ -56,11 +56,6 @@ class Region:
         self.npages = offsets[-1]
 
     # -- constructors ---------------------------------------------------------------
-
-    @classmethod
-    def of_segment(cls, name: str, seg: Segment,
-                   lo: int = 0, hi: Optional[int] = None) -> "Region":
-        return cls(name, [Extent(seg, lo, seg.npages if hi is None else hi)])
 
     @classmethod
     def from_blocks(cls, name: str, memory: AddressSpace,

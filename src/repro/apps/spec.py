@@ -153,11 +153,6 @@ class WorkloadSpec:
         return self.comm_fraction * self.iteration_period
 
     @property
-    def write_volume_per_iteration_mb(self) -> float:
-        """Page-visit volume per iteration (MB), main region only."""
-        return self.passes * self.main_region_mb
-
-    @property
     def init_duration(self) -> float:
         """Length of the startup initialization burst (s)."""
         return self.footprint_mb / self.init_write_rate_mb

@@ -235,13 +235,6 @@ def _parser() -> argparse.ArgumentParser:
     val.add_argument("--app", default=None, choices=sorted(PAPER_APPS),
                      help="validate one application (detailed rows)")
 
-    rep = sub.add_parser("report",
-                         help="regenerate the full reproduction report")
-    rep.add_argument("--out", required=True, metavar="DIR")
-    rep.add_argument("--ranks", type=_positive_int, default=2)
-    rep.add_argument("--quick", action="store_true",
-                     help="smaller sweeps (seconds instead of ~a minute)")
-
     faults = sub.add_parser("faults",
                             help="fault injection and recovery experiments")
     fsub = faults.add_subparsers(dest="faults_command", required=True)
@@ -589,6 +582,9 @@ def cmd_faults_run(args, out) -> int:
             verify_integrity=not args.no_verify_integrity,
             integrity_bandwidth=args.integrity_bandwidth,
             ckpt_transport=args.ckpt_transport, obs=obs)
+    except FaultPlanError as exc:
+        print(f"bad fault plan: {exc}", file=sys.stderr)
+        return 2
     except RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
         return 1
@@ -746,11 +742,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return handlers[args.obs_command](args, out)
     if args.command == "validate":
         return cmd_validate(args, out)
-    if args.command == "report":
-        from repro.report import generate_report
-        path = generate_report(args.out, nranks=args.ranks, quick=args.quick)
-        print(f"report written to {path}", file=out)
-        return 0
     if args.command == "analyze":
         return cmd_analyze(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")

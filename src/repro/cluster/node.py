@@ -62,15 +62,6 @@ class ClusterSpec:
         if self.nnodes < 1:
             raise ConfigurationError("cluster needs at least one node")
 
-    @property
-    def total_processors(self) -> int:
-        return self.nnodes * self.node.cpus
-
-    def validates_demand(self, per_process_bps: float) -> bool:
-        """Sanity check used by the experiment harness: measured IB can
-        never exceed the node's memory write bandwidth."""
-        return per_process_bps <= self.node.max_dirty_rate()
-
 
 #: the paper's full testbed
 PAPER_CLUSTER = ClusterSpec(nnodes=32)

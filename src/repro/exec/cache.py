@@ -163,13 +163,6 @@ class ResultCache:
             for entry in prefix.iterdir()
             if (entry / _META_NAME).exists())
 
-    def invalidate(self, config) -> bool:
-        """Drop one entry; True if it existed."""
-        entry = self._entry_dir(self.key_for(config))
-        existed = entry.exists()
-        shutil.rmtree(entry, ignore_errors=True)
-        return existed
-
     def clear(self) -> None:
         """Drop every entry."""
         shutil.rmtree(self.root, ignore_errors=True)

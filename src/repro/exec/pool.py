@@ -200,9 +200,5 @@ class SweepExecutor:
             raise
         return results, len(futures)
 
-    def run_one(self, config):
-        """Single-config convenience wrapper over :meth:`run_many`."""
-        return self.run_many([config])[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SweepExecutor jobs={self.jobs} cache={self.cache!r}>"

@@ -121,7 +121,7 @@ class FailureRecoveryDriver:
                  max_failures: int = 1000,
                  obs=None):
         from repro.obs import NULL_OBS
-        plan.validate_for(config.nranks)
+        plan.validate_for(config.nranks, config.ckpt_transport)
         if detection_latency < 0:
             raise FaultPlanError("detection latency must be >= 0")
         if max_failures < 1:

@@ -213,24 +213,26 @@ class FaultPlan:
 
     # -- queries -------------------------------------------------------------
 
-    def validate_for(self, nranks: int) -> None:
-        """Check every victim exists in a job of ``nranks`` ranks."""
+    def validate_for(self, nranks: int,
+                     transport: Optional[str] = None) -> None:
+        """Check every victim exists in a job of ``nranks`` ranks and
+        every fault kind means something under the checkpoint
+        ``transport`` (None is the estimate mode).  A diskless run
+        keeps its pieces in a buddy's memory, so it has no checkpoint
+        disk for a DISK fault to fail."""
         for ev in self.events:
             if ev.rank >= nranks:
                 raise FaultPlanError(
                     f"fault at t={ev.time} targets rank {ev.rank}, "
                     f"but the job has only {nranks} ranks")
+            if ev.kind is FaultKind.DISK and transport == "diskless":
+                raise FaultPlanError(
+                    f"DISK fault at t={ev.time} on rank {ev.rank}: the "
+                    f"diskless transport writes no checkpoint disk")
 
     def after(self, time: float) -> "FaultPlan":
         """The sub-plan of events strictly later than ``time``."""
         return FaultPlan(e for e in self.events if e.time > time)
-
-    def first_fatal(self) -> Optional[FaultEvent]:
-        """The earliest fatal (crash-class) event, or None."""
-        for ev in self.events:
-            if ev.kind.fatal:
-                return ev
-        return None
 
     def fatal_count(self) -> int:
         """How many crash-class events the plan holds."""

@@ -23,12 +23,10 @@ from repro.feasibility.availability import (
     FailureModel,
     efficiency,
     efficiency_curve,
-    integrity_checked_cost,
     observed_efficiency,
     optimal_efficiency,
     predicted_vs_observed,
     scale_study,
-    verified_restart_time,
     young_interval,
 )
 
@@ -46,12 +44,10 @@ __all__ = [
     "efficiency",
     "efficiency_curve",
     "false_sharing_ablation",
-    "integrity_checked_cost",
     "markdown_table",
     "observed_efficiency",
     "optimal_efficiency",
     "predicted_vs_observed",
     "scale_study",
-    "verified_restart_time",
     "young_interval",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.units import MiB
@@ -71,36 +70,6 @@ class CheckpointCostModel:
     def cost(self) -> float:
         """Seconds per checkpoint."""
         return self.latency + self.delta_bytes / self.storage_bandwidth
-
-
-def integrity_checked_cost(cost_model: CheckpointCostModel,
-                           hash_bandwidth: Optional[float] = None) -> float:
-    """Checkpoint cost including end-to-end integrity: one digest pass
-    over every written byte (blake2b at ``hash_bandwidth``, default
-    :data:`~repro.storage.HASH_BANDWIDTH`).  The delta is what makes
-    this cheap -- hashing only the dirty pages rides the same
-    feasibility curve as writing them.
-    """
-    from repro.storage import HASH_BANDWIDTH
-    bw = HASH_BANDWIDTH if hash_bandwidth is None else hash_bandwidth
-    if bw <= 0:
-        raise ConfigurationError("hash bandwidth must be positive")
-    return cost_model.cost + cost_model.delta_bytes / bw
-
-
-def verified_restart_time(restart_time: float, chain_bytes: int,
-                          hash_bandwidth: Optional[float] = None) -> float:
-    """Restart time including digest recomputation over every byte of
-    the recovery chain read back from stable storage -- the ``R`` to use
-    in :class:`FailureModel` when restores are integrity-checked."""
-    from repro.storage import HASH_BANDWIDTH
-    bw = HASH_BANDWIDTH if hash_bandwidth is None else hash_bandwidth
-    if restart_time < 0 or chain_bytes < 0:
-        raise ConfigurationError(
-            "restart time and chain bytes must be >= 0")
-    if bw <= 0:
-        raise ConfigurationError("hash bandwidth must be positive")
-    return restart_time + chain_bytes / bw
 
 
 def young_interval(cost: float, system_mtbf: float) -> float:

@@ -73,10 +73,3 @@ def render_table1() -> str:
                     f"{lvl.checkpoint_size.label():10s} "
                     f"{lvl.flexibility.label():9s} {lvl.granularity}")
     return "\n".join(rows)
-
-
-def os_level_tradeoff() -> AbstractionLevel:
-    """The row the paper argues for: the operating-system level, whose
-    transparency and flexibility the study shows can be had at an
-    affordable bandwidth cost."""
-    return next(l for l in ABSTRACTION_LEVELS if l.name == "Operating system")

@@ -47,11 +47,6 @@ class TimesliceRecord:
     def iws_mb(self) -> float:
         return self.iws_bytes / MiB
 
-    @property
-    def ib_bytes_per_s(self) -> float:
-        """Incremental bandwidth of this slice: IWS / timeslice."""
-        return self.iws_bytes / self.duration if self.duration > 0 else 0.0
-
 
 #: column order of one slice (matches TimesliceRecord's fields)
 _COLUMNS = ("index", "t_start", "t_end", "iws_pages", "iws_bytes",

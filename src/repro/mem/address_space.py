@@ -14,8 +14,6 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Callable, Iterator, NamedTuple, Optional
 
-import numpy as np
-
 from repro.errors import MappingError, SegmentationFault
 from repro.mem.layout import Layout
 from repro.mem.segment import Segment, SegmentKind
@@ -485,10 +483,6 @@ class AddressSpace:
         self._arena.setdefault(seg.npages, []).append(seg)
         self._arena_count += 1
 
-    def unmap_segment(self, seg: Segment) -> None:
-        """Unmap a whole mmap segment by identity."""
-        self.munmap(seg.base, seg.size)
-
     # -- protection / dirty state (tracker support) ----------------------------------
 
     def protect_data(self) -> int:
@@ -515,32 +509,18 @@ class AddressSpace:
         (the paper's memory-exclusion behaviour)."""
         return sum(seg.pages.dirty_count() for seg in self.data_segments())
 
-    def dirty_bytes(self) -> int:
-        """The IWS in bytes (dirty pages times the page size)."""
-        return self.dirty_pages() * self.page_size
-
-    # -- state signatures (for checkpoint verification) --------------------------------
-
-    def state_signature(self) -> dict[tuple, tuple]:
-        """Snapshot of data-memory geometry and page versions.
-
-        Maps ``(kind, base) -> (size, versions)``.  The key is positional
-        rather than the segment id so a *restored* address space (whose
-        segments are new objects) compares equal to the original at
-        checkpoint time.  Equal signatures mean identical data memory.
-        """
-        return {
-            (seg.kind.value, seg.base): (seg.size, seg.pages.versions.copy())
-            for seg in self.data_segments()
-        }
+    # -- state digest (for checkpoint verification) ------------------------------------
 
     def state_digest(self) -> bytes:
-        """Fixed-size sha256 digest of :meth:`state_signature`.
+        """Fixed-size sha256 digest of data-memory geometry and page
+        versions.
 
         Covers each data segment's ``(kind, base, size)`` and its page
-        versions, segments in ``(kind, base)`` order, so equal digests
-        mean equal signatures (up to a sha256 collision) while keeping
-        32 bytes instead of one version per mapped page.
+        versions, segments in ``(kind, base)`` order.  Segments count by
+        position, not by segment id, so a *restored* address space
+        (whose segments are new objects) digests equal to the original
+        at checkpoint time: equal digests mean identical data memory (up
+        to a sha256 collision).
         """
         h = sha256()
         for seg in sorted(self.data_segments(),
@@ -548,16 +528,6 @@ class AddressSpace:
             h.update(f"{seg.kind.value}|{seg.base}|{seg.size}|".encode())
             h.update(seg.pages.versions)
         return h.digest()
-
-    @staticmethod
-    def signatures_equal(a: dict[tuple, tuple], b: dict[tuple, tuple]) -> bool:
-        if a.keys() != b.keys():
-            return False
-        for key, (size, versions) in a.items():
-            size2, versions2 = b[key]
-            if size != size2 or not np.array_equal(versions, versions2):
-                return False
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.units import fmt_bytes

@@ -55,8 +55,3 @@ class Layout:
             raise ConfigurationError("heap area overlaps mmap area")
         if self.stack_top - self.max_stack < self.mmap_limit:
             raise ConfigurationError("stack area overlaps mmap area")
-
-    @property
-    def stack_base(self) -> int:
-        """Lowest address the stack may grow down to."""
-        return self.stack_top - self.max_stack

@@ -103,14 +103,6 @@ class Segment:
         """True when ``[base, base+size)`` intersects this mapping."""
         return base < self.end and self.base < base + size
 
-    def page_index(self, addr: int) -> int:
-        """Index (within this segment) of the page holding ``addr``."""
-        if not self.contains(addr):
-            raise MappingError(
-                f"address {addr:#x} outside segment {self.name!r} "
-                f"[{self.base:#x}, {self.end:#x})")
-        return (addr - self.base) // self.page_size
-
     def page_range(self, addr: int, size: int) -> tuple[int, int]:
         """Page index range ``[lo, hi)`` covering bytes ``[addr, addr+size)``."""
         if size <= 0:

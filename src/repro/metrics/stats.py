@@ -46,12 +46,3 @@ def footprint_stats(log: TraceLog, skip_until: float = 0.0) -> FootprintStats:
         raise ConfigurationError(f"no timeslices after t={skip_until}")
     fp = view.footprint_mb()
     return FootprintStats(max_mb=float(fp.max()), avg_mb=float(fp.mean()))
-
-
-def aggregate_ranks(values_per_rank: dict[int, float]) -> tuple[float, float]:
-    """(mean, max) across ranks of a per-rank scalar -- used to confirm
-    the bulk-synchronous claim that one process represents the program."""
-    if not values_per_rank:
-        raise ConfigurationError("no ranks")
-    xs = np.array(list(values_per_rank.values()), dtype=float)
-    return float(xs.mean()), float(xs.max())

@@ -18,7 +18,6 @@ per-receive accounting for the data-received-per-timeslice metric.
 """
 
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, PostedRecv, RankComm, World
-from repro.mpi.request import Request, wait_all
 from repro.mpi.runtime import MPIJob, RankContext
 
 __all__ = [
@@ -28,7 +27,5 @@ __all__ = [
     "PostedRecv",
     "RankComm",
     "RankContext",
-    "Request",
     "World",
-    "wait_all",
 ]

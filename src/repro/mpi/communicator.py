@@ -53,11 +53,6 @@ class PostedRecv:
     #: post-order stamp; ties across match classes resolve to the oldest
     seq: int = 0
 
-    def matches(self, msg: Message) -> bool:
-        """MPI matching: source and tag agree (wildcards allowed)."""
-        return ((self.source == ANY_SOURCE or self.source == msg.src)
-                and (self.tag == ANY_TAG or self.tag == msg.tag))
-
 
 class World:
     """The communicator shared by all ranks of one job."""
@@ -163,23 +158,6 @@ class RankComm:
         self.world.network.send_many(msgs)
         self.bytes_sent += nbytes * len(msgs)
         return msgs
-
-    def isend(self, dest: int, nbytes: int, tag: int = 0,
-              payload: Any = None) -> "Request":
-        """Nonblocking send; the request completes at network injection
-        (the eager model -- buffered locally, like small-message MPI)."""
-        from repro.mpi.request import Request
-        msg = self.send(dest, nbytes, tag, payload)
-        fut = Future(self.engine, label=f"rank{self.rank}.isend")
-        fut.resolve(msg)
-        return Request(fut, "isend")
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
-              addr: Optional[int] = None, size: int = 0) -> "Request":
-        """Nonblocking receive; ``req.test()`` polls, ``yield req.wait()``
-        blocks."""
-        from repro.mpi.request import Request
-        return Request(self.recv(source, tag, addr=addr, size=size), "irecv")
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
              addr: Optional[int] = None, size: int = 0) -> Future:

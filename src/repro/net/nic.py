@@ -60,18 +60,14 @@ class NIC:
         self.bytes_received = 0
         self.messages_received = 0
         self.dma_missed_pages = 0
-        #: fault-injection state: a failed NIC delivers nothing, and a
-        #: positive drop budget silently discards the next messages
+        #: fault-injection state: a failed NIC delivers nothing
         self.failed = False
         self.messages_dropped = 0
-        self._drop_budget = 0
         self._track = f"nic{node}"
         network.attach(node, self._receive)
 
     def _receive(self, msg: Message) -> None:
-        if self.failed or self._drop_budget > 0:
-            if not self.failed:
-                self._drop_budget -= 1
+        if self.failed:
             self.messages_dropped += 1
             return
         self.bytes_received += msg.size
@@ -124,14 +120,6 @@ class NIC:
         self.network.detach(self.node)
 
     # -- fault injection ----------------------------------------------------------
-
-    def drop_next(self, count: int = 1) -> None:
-        """Discard the next ``count`` incoming messages (transient NIC
-        fault).  The sender is not notified -- exactly the silent loss
-        that makes an unacknowledged message protocol hang."""
-        if count < 1:
-            raise NetworkError(f"drop count must be >= 1, got {count}")
-        self._drop_budget += count
 
     def fail(self) -> None:
         """Permanent NIC failure: detach from the fabric and discard any

@@ -113,13 +113,6 @@ class Allocator:
         self._heap_free(block.addr, block.size)
         self._maybe_trim()
 
-    def calloc(self, size: int) -> Block:
-        """Allocate and zero (the zeroing *writes* the memory, which
-        matters for dirty-page accounting)."""
-        block = self.malloc(size)
-        self.process.memory.cpu_write(block.addr, block.size)
-        return block
-
     # -- heap internals ----------------------------------------------------------
 
     def _heap_alloc(self, size: int) -> int:

@@ -340,14 +340,6 @@ class Engine:
         self._now = time
         self._pos = key
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._n_cancelled -= 1
-        return heap[0][0] if heap else None
-
     def step(self) -> bool:
         """Fire the next event.  Returns False when the queue is empty."""
         heap = self._heap
@@ -440,10 +432,6 @@ class Engine:
         """Register a profiling hook called with every fired event.  The
         hot loop pays one truthiness check when no hooks are registered."""
         self._event_hooks.append(hook)
-
-    def remove_event_hook(self, hook: Callable[[Event], None]) -> None:
-        """Unregister a hook added with :meth:`add_event_hook`."""
-        self._event_hooks.remove(hook)
 
     def stats(self) -> dict:
         """Lifetime counters of this engine: events dispatched, events

@@ -47,9 +47,5 @@ class RngStreams:
         its initial state.  Useful for replay/verification."""
         return np.random.default_rng(self._derive(name))
 
-    def spawn(self, name: str) -> "RngStreams":
-        """A child factory whose streams are independent of the parent's."""
-        return RngStreams(self._derive(name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStreams seed={self.seed} cached={len(self._cache)}>"

@@ -4,11 +4,10 @@ scanner.
 :func:`save_store` serializes a :class:`~repro.storage.CheckpointStore`
 -- chains, commit markers, payload arrays, and the integrity metadata
 recorded at write time -- into a single framed binary file.
-:func:`load_store` reads it back; :func:`scan_store` walks the frames
-*defensively* and reports every piece's integrity status without ever
-raising on mangled input: a truncated, bit-flipped, or garbage file
-yields a report, not a crash.  ``repro ckpt verify`` is a thin CLI
-wrapper over the scanner.
+:func:`scan_store` walks the frames *defensively* and reports every
+piece's integrity status without ever raising on mangled input: a
+truncated, bit-flipped, or garbage file yields a report, not a crash.
+``repro ckpt verify`` is a thin CLI wrapper over the scanner.
 
 Format (all integers little-endian uint32 length prefixes)::
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -160,28 +159,6 @@ def save_store(store: CheckpointStore, path: Union[str, Path]) -> Path:
     return atomic_write(path, b"".join(parts))
 
 
-def load_store(path: Union[str, Path]) -> CheckpointStore:
-    """Read an archive back into a live store.  The integrity metadata
-    is restored *as recorded* (not recomputed), so corruption that crept
-    into the file is still detectable afterwards through
-    :meth:`~repro.storage.CheckpointStore.verify_chain`.  Raises
-    :class:`~repro.errors.StorageError` on a structurally unreadable
-    file; content corruption loads fine and fails verification instead.
-    """
-    report = scan_store(path)
-    if report.error is not None:
-        raise StorageError(f"cannot load {path}: {report.error}")
-    store = CheckpointStore(report.nranks)
-    for piece in report.pieces:
-        if piece.object is None:
-            raise StorageError(
-                f"cannot load {path}: piece {piece.label} is {piece.status}")
-        chain = store._chains[piece.object.rank]
-        chain.append(piece.object)
-    store._committed = list(report.committed)
-    return store
-
-
 # -- scanning ---------------------------------------------------------------
 
 
@@ -197,8 +174,6 @@ class PieceScan:
     seq: Optional[int] = None
     kind: Optional[str] = None
     detail: str = ""
-    object: Optional[StoredObject] = field(default=None, repr=False,
-                                           compare=False)
 
     @property
     def ok(self) -> bool:
@@ -323,10 +298,10 @@ def scan_store(path: Union[str, Path]) -> StoreScanReport:
         if obj.digest is None or recomputed != obj.digest:
             pieces.append(PieceScan(index=index, status="corrupt",
                                     rank=rank, seq=seq, kind=kind,
-                                    detail="digest mismatch", object=obj))
+                                    detail="digest mismatch"))
         else:
             pieces.append(PieceScan(index=index, status="ok", rank=rank,
-                                    seq=seq, kind=kind, object=obj))
+                                    seq=seq, kind=kind))
         if 0 <= rank < nranks:
             chains.setdefault(rank, []).append(obj)
 

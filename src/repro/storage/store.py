@@ -25,8 +25,8 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.errors import StorageError
-from repro.storage.integrity import (ChainVerification, PieceVerification,
-                                     piece_digest, verify_chain)
+from repro.storage.integrity import (ChainVerification, piece_digest,
+                                     verify_chain)
 
 
 @dataclass(frozen=True)
@@ -153,19 +153,6 @@ class CheckpointStore:
             if obj.seq == seq:
                 return obj
         return None
-
-    def verify_piece(self, rank: int, seq: int) -> PieceVerification:
-        """Recompute one piece's digest against the recorded one (content
-        only; chain links are :meth:`verify_chain`'s job)."""
-        obj = self.find(rank, seq)
-        if obj is None:
-            return PieceVerification(rank=rank, seq=seq, kind="incremental",
-                                     ok=False, reason="missing-target")
-        recomputed = piece_digest(obj.rank, obj.seq, obj.kind, obj.nbytes,
-                                  obj.payload)
-        ok = obj.digest is not None and recomputed == obj.digest
-        return PieceVerification(rank=rank, seq=seq, kind=obj.kind, ok=ok,
-                                 reason="ok" if ok else "digest-mismatch")
 
     def verify_chain(self, rank: int, upto_seq: Optional[int] = None,
                      require_seq: Optional[int] = None) -> ChainVerification:

@@ -27,19 +27,9 @@ MICROSECOND: float = 1e-6
 MILLISECOND: float = 1e-3
 
 
-def mb(nbytes: float) -> float:
-    """Convert a byte count to (binary) megabytes."""
-    return nbytes / MiB
-
-
 def from_mb(megabytes: float) -> int:
     """Convert (binary) megabytes to a whole number of bytes."""
     return int(round(megabytes * MiB))
-
-
-def mbps(bytes_per_second: float) -> float:
-    """Convert B/s to MB/s."""
-    return bytes_per_second / MiB
 
 
 def fmt_bytes(nbytes: float) -> str:

@@ -43,12 +43,6 @@ def test_extent_validation():
         Extent(asp.data, 0, 99)
 
 
-def test_of_segment():
-    asp = make_space()
-    region = Region.of_segment("d", asp.data)
-    assert region.npages == asp.data.npages
-
-
 def test_touch_all_marks_every_page():
     asp = make_space()
     asp.protect_data()
@@ -127,7 +121,7 @@ def test_property_visits_match_reference_modulo_model(npages, data):
     """touch_visits agrees with a naive per-visit reference model."""
     asp = AddressSpace(Layout(page_size=PS), data_size=npages * PS)
     asp.protect_data()
-    region = Region.of_segment("r", asp.data, 0, npages)
+    region = Region("r", [Extent(asp.data, 0, npages)])
     expected = np.zeros(npages, dtype=bool)
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         v0 = data.draw(st.integers(min_value=0, max_value=3 * npages))

@@ -128,7 +128,6 @@ def test_derived_quantities():
                       comm_mb=1.0, comm_rounds=4)
     assert spec.footprint_bytes == 8 * MiB
     assert spec.main_region_bytes == 4 * MiB
-    assert spec.write_volume_per_iteration_mb == pytest.approx(12.0)
     assert spec.burst_duration == pytest.approx(1.0)
     assert spec.recv_buffer_bytes == 256 * 1024
     assert spec.init_duration == pytest.approx(8 / 64)

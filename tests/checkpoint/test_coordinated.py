@@ -76,13 +76,13 @@ def test_recovery_restores_exact_state():
     lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
     ckpt = CheckpointEngine(job, lib, interval_slices=2)
 
-    # snapshot the live signatures at each capture for later comparison
-    reference: dict[tuple, dict] = {}
+    # snapshot the live digests at each capture for later comparison
+    reference: dict[tuple, bytes] = {}
     for rank in range(2):
         def snap(record, tracker, r=rank):
             if (record.index + 1) % 2 == 0:
                 reference[(r, record.index)] = \
-                    tracker.process.memory.state_signature()
+                    tracker.process.memory.state_digest()
         job.init_hooks.append(
             lambda ctx, r=rank: None)  # placeholder to keep ordering clear
     # install the snapshot hook via tracker slice listeners after launch
@@ -91,7 +91,7 @@ def test_recovery_restores_exact_state():
         def snap(record, trk, r=ctx.rank):
             if (record.index + 1) % 2 == 0:
                 reference[(r, record.index)] = \
-                    trk.process.memory.state_signature()
+                    trk.process.memory.state_digest()
         # insert BEFORE the engine's listener so we snapshot the same state
         tracker.slice_listeners.insert(0, snap)
     job.init_hooks.append(install_snap)
@@ -105,7 +105,7 @@ def test_recovery_restores_exact_state():
     restored = recovery.restore_all()
     for rank, asp in restored.items():
         want = reference[(rank, seq)]
-        assert AddressSpace.signatures_equal(asp.state_signature(), want), \
+        assert asp.state_digest() == want, \
             f"rank {rank} restored state differs at seq {seq}"
 
 

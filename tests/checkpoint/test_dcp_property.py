@@ -48,16 +48,16 @@ def apply_interval(asp, interval):
 
 
 def build_chain(asp, block_size, history):
-    """Full + one dcp delta per interval, plus the state signature
+    """Full + one dcp delta per interval, plus the state digest
     recorded right after each capture."""
     dcp = DcpCheckpointer(asp, block_size=block_size)
     chain = [FullCheckpointer().capture(asp, seq=0)]
     dcp.mark_baseline()
-    states = [asp.state_signature()]
+    states = [asp.state_digest()]
     for seq, interval in enumerate(history, start=1):
         apply_interval(asp, interval)
         chain.append(dcp.capture(seq=seq))
-        states.append(asp.state_signature())
+        states.append(asp.state_digest())
     return chain, states
 
 
@@ -68,8 +68,7 @@ def test_restore_version_identical_at_every_crash_point(block_size, history):
     chain, states = build_chain(asp, block_size, history)
     for k in range(1, len(chain) + 1):
         restored = restore_address_space(chain[:k], layout=LAYOUT)
-        assert AddressSpace.signatures_equal(
-            restored.state_signature(), states[k - 1]), \
+        assert restored.state_digest() == states[k - 1], \
             f"crash after piece {k - 1} restored a different state"
 
 
@@ -101,8 +100,7 @@ def test_restore_exact_through_heap_shrink_and_regrow():
     asp.cpu_write(asp.heap.base, PS)
     chain.append(dcp.capture(seq=1))
     restored = restore_address_space(chain, layout=LAYOUT)
-    assert AddressSpace.signatures_equal(restored.state_signature(),
-                                         asp.state_signature())
+    assert restored.state_digest() == asp.state_digest()
 
 
 def test_invalid_block_sizes_rejected():

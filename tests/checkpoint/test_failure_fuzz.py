@@ -14,7 +14,6 @@ from repro.apps.synthetic import SyntheticApp, small_spec
 from repro.checkpoint import CheckpointEngine, RecoveryManager
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.instrument import InstrumentationLibrary, TrackerConfig
-from repro.mem import AddressSpace
 from repro.mpi import MPIJob
 from repro.sim import Engine
 
@@ -48,7 +47,7 @@ def test_any_failure_recovers_to_consistent_committed_state(
         def snap(record, trk, r=ctx.rank):
             if (record.index + 1) % INTERVAL == 0:
                 reference[(r, record.index)] = \
-                    trk.process.memory.state_signature()
+                    trk.process.memory.state_digest()
 
         tracker.slice_listeners.insert(0, snap)
 
@@ -79,7 +78,7 @@ def test_any_failure_recovers_to_consistent_committed_state(
     assert set(restored) == set(range(NRANKS))
     for rank, asp in restored.items():
         want = reference[(rank, seq)]
-        assert AddressSpace.signatures_equal(asp.state_signature(), want), \
+        assert asp.state_digest() == want, \
             (rank, seq, fail_time, victim)
     for rank in range(NRANKS):
         chain = RecoveryManager(ckpt.store).recovery_chain(rank, seq)

@@ -86,7 +86,7 @@ def recycle(asp, pick):
     if segs:
         seg = segs[pick % len(segs)]
         size = seg.size
-        asp.unmap_segment(seg)
+        asp.munmap(seg.base, size)
         asp.mmap(size)
 
 

@@ -161,9 +161,8 @@ def test_node_validation():
 
 def test_cluster_spec():
     cluster = ClusterSpec(nnodes=32)
-    assert cluster.total_processors == 64  # the paper's testbed
-    assert cluster.validates_demand(100 * MiB)
-    assert not cluster.validates_demand(100 * GiB)
+    assert cluster.nnodes * cluster.node.cpus == 64  # the paper's testbed
+    assert 100 * MiB <= cluster.node.max_dirty_rate() < 100 * GiB
     with pytest.raises(ConfigurationError):
         ClusterSpec(nnodes=0)
 
@@ -172,4 +171,5 @@ def test_measured_ib_within_node_memory_bandwidth():
     """Physical sanity: no app demands more IB than the Itanium II's
     memory system could write."""
     res = run_experiment(tiny_config())
-    assert res.config.cluster.validates_demand(res.ib().max_mbps * MiB)
+    node = res.config.cluster.node
+    assert res.ib().max_mbps * MiB <= node.max_dirty_rate()

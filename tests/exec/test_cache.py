@@ -57,14 +57,11 @@ def test_config_change_is_a_miss(tmp_path, small_config, small_result):
     assert cache.get(small_config.scaled(timeslice=2.0)) is None
 
 
-def test_invalidate_and_clear(tmp_path, small_config, small_result):
+def test_clear_drops_every_entry(tmp_path, small_config, small_result):
     cache = ResultCache(tmp_path / "cache")
     cache.put(small_config, small_result)
-    assert cache.invalidate(small_config)
-    assert not cache.contains(small_config)
-    assert not cache.invalidate(small_config)  # already gone
-    cache.put(small_config, small_result)
     cache.clear()
+    assert not cache.contains(small_config)
     assert cache.entries() == []
 
 

@@ -59,14 +59,6 @@ def test_mixed_hits_and_misses_keep_order(tmp_path, base_config):
     assert cache.hits == 1 and cache.misses == 2
 
 
-def test_run_one_uses_cache(tmp_path, base_config):
-    cache = ResultCache(tmp_path / "cache")
-    first = SweepExecutor(jobs=1, cache=cache).run_one(base_config)
-    second = SweepExecutor(jobs=1, cache=cache).run_one(base_config)
-    assert cache.hits == 1
-    assert _ib_tuple(first) == _ib_tuple(second)
-
-
 def test_sweep_timeslices_routes_through_executor(tmp_path, base_config):
     cache = ResultCache(tmp_path / "cache")
     by_ts = sweep_timeslices(base_config, TIMESLICES, jobs=2, cache=cache)

@@ -86,6 +86,21 @@ def test_faults_run_plan_rank_out_of_range(tmp_path, capsys):
     assert "only 2 ranks" in capsys.readouterr().err
 
 
+def test_faults_run_refuses_a_disk_fault_under_diskless(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"events": [
+        {"time": 2.1, "kind": "disk", "rank": 1}]}))
+    argv = ("faults", "run", "--app", "lu", "--ranks", "2",
+            "--duration", "6", "--plan", str(plan))
+    code, _ = run_cli(*argv, "--ckpt-transport", "diskless")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad fault plan" in err and "diskless" in err
+    assert "Traceback" not in err
+    code, text = run_cli(*argv, "--ckpt-transport", "network")
+    assert code == 0 and "planned fault(s)" in text
+
+
 def test_faults_run_corrupt_detects_and_walks_back(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"events": [

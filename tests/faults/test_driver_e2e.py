@@ -191,6 +191,19 @@ def test_driver_parameter_validation():
             CONFIG, FaultPlan([FaultEvent(1.0, FaultKind.CRASH, 99)]))
 
 
+def test_diskless_disk_fault_is_refused_before_any_life_runs(monkeypatch):
+    import repro.faults.driver as driver_mod
+
+    def no_life(*args, **kwargs):
+        raise AssertionError("a life ran")
+    monkeypatch.setattr(driver_mod.FailureRecoveryDriver, "run", no_life)
+    plan = FaultPlan([FaultEvent(2.1, FaultKind.DISK, 1)])
+    with pytest.raises(FaultPlanError, match="diskless"):
+        FailureRecoveryDriver(CONFIG.scaled(ckpt_transport="diskless"), plan)
+    with pytest.raises(FaultPlanError, match="diskless"):
+        run_with_failures(CONFIG, plan, ckpt_transport="diskless")
+
+
 def test_max_failures_gives_up():
     # spaced past each downtime window, so three faults really deliver
     plan = FaultPlan([FaultEvent(0.3, FaultKind.CRASH, 0),

@@ -33,8 +33,7 @@ def test_fatal_classification():
     plan = FaultPlan([FaultEvent(1.0, FaultKind.DISK, 0),
                       FaultEvent(2.0, FaultKind.CRASH, 1)])
     assert plan.fatal_count() == 1
-    assert plan.first_fatal().time == 2.0
-    assert FaultPlan.none().first_fatal() is None
+    assert FaultPlan.none().fatal_count() == 0
 
 
 def test_exponential_same_seed_same_plan():
@@ -117,6 +116,17 @@ def test_validate_for_rejects_out_of_range_victims():
     plan.validate_for(6)
     with pytest.raises(FaultPlanError):
         plan.validate_for(4)
+
+
+def test_validate_for_refuses_disk_faults_without_a_checkpoint_disk():
+    disk = FaultPlan([FaultEvent(2.1, FaultKind.DISK, 1)])
+    for transport in (None, "estimate", "network"):
+        disk.validate_for(4, transport)
+    with pytest.raises(FaultPlanError, match="diskless"):
+        disk.validate_for(4, "diskless")
+    # every other kind still means something in buddy memory
+    FaultPlan([FaultEvent(2.1, FaultKind.CRASH, 1),
+               FaultEvent(3.0, FaultKind.FLIP, 0)]).validate_for(4, "diskless")
 
 
 def test_after_is_strict():

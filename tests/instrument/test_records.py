@@ -19,14 +19,16 @@ def test_record_derived_properties():
     r = rec(0, iws_mb=2.0, duration=2.0)
     assert r.duration == 2.0
     assert r.iws_mb == pytest.approx(2.0)
-    assert r.ib_bytes_per_s == pytest.approx(1.0 * MiB)
 
 
 def test_record_zero_duration_ib():
+    # a zero-length slice contributes IB 0, not a division by zero
     r = TimesliceRecord(index=0, t_start=1.0, t_end=1.0, iws_pages=1,
                         iws_bytes=16384, footprint_bytes=1, faults=0,
                         received_bytes=0, overhead_time=0.0)
-    assert r.ib_bytes_per_s == 0.0
+    log = TraceLog(rank=0, timeslice=1.0, page_size=16384, app_name="t")
+    log.append(r)
+    assert log.ib_mbps().tolist() == [0.0]
 
 
 def test_log_series_views():

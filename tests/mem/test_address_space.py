@@ -62,7 +62,6 @@ def test_write_and_fault_accounting():
     res = asp.cpu_write(asp.data.base, 2 * PS)
     assert res.faults == 0
     assert asp.dirty_pages() == 2
-    assert asp.dirty_bytes() == 2 * PS
 
 
 def test_fault_listener_invoked():
@@ -227,24 +226,10 @@ def test_reset_dirty_spans_all_data_segments():
     assert asp.dirty_pages() == 0
 
 
-def test_state_signature_equality():
-    a = make_space()
-    b = make_space()
-    sig1 = a.state_signature()
-    # two freshly built identical spaces compare equal (positional keys,
-    # so a restored space can match its original)
-    assert AddressSpace.signatures_equal(sig1, b.state_signature())
-    a.cpu_write(a.data.base, PS)
-    sig2 = a.state_signature()
-    assert AddressSpace.signatures_equal(sig1, sig1)
-    assert not AddressSpace.signatures_equal(sig1, sig2)
-    b.mmap(2 * PS)
-    assert not AddressSpace.signatures_equal(sig1, b.state_signature())
-
-
 def test_state_digest_tracks_the_signature():
-    # the driver's restore check compares digests: equal exactly when
-    # the signatures are equal, whatever order the mmaps were made in
+    # the restore check compares digests: equal exactly when geometry
+    # and page versions are equal, whatever order the mmaps were made in
+    # (segments count by position, so a restored space can match)
     a = make_space()
     b = make_space()
     d1 = a.state_digest()
@@ -257,8 +242,6 @@ def test_state_digest_tracks_the_signature():
     b.mmap_fixed(second.base, 3 * PS)
     assert a.state_digest() != b.state_digest()
     b.mmap_fixed(first.base, 2 * PS)
-    assert AddressSpace.signatures_equal(a.state_signature(),
-                                         b.state_signature())
     assert a.state_digest() == b.state_digest()
 
 
@@ -315,4 +298,4 @@ def test_property_dirty_bytes_bounded_by_footprint(data):
         lo = data.draw(st.integers(min_value=0, max_value=seg.npages - 1))
         hi = data.draw(st.integers(min_value=lo + 1, max_value=seg.npages))
         asp.cpu_write_pages(seg, lo, hi)
-    assert 0 <= asp.dirty_bytes() <= asp.data_footprint()
+    assert 0 <= asp.dirty_pages() * PS <= asp.data_footprint()

@@ -31,9 +31,8 @@ def test_segment_alignment_enforced():
 
 def test_page_index_and_range():
     seg = Segment(SegmentKind.HEAP, 0, 8 * PS, PS)
-    assert seg.page_index(0) == 0
-    assert seg.page_index(PS) == 1
-    assert seg.page_index(PS - 1) == 0
+    assert seg.page_range(PS, 1) == (1, 2)
+    assert seg.page_range(PS - 1, 1) == (0, 1)
     assert seg.page_range(0, 1) == (0, 1)
     assert seg.page_range(PS - 1, 2) == (0, 2)  # straddles a boundary
     assert seg.page_range(0, 8 * PS) == (0, 8)
@@ -46,7 +45,7 @@ def test_page_range_rejects_out_of_bounds():
     with pytest.raises(MappingError):
         seg.page_range(0, 0)
     with pytest.raises(MappingError):
-        seg.page_index(9 * PS)
+        seg.page_range(9 * PS, 1)
 
 
 def test_overlaps():
@@ -74,7 +73,10 @@ def test_data_memory_classification():
 
 def test_layout_defaults_valid():
     layout = Layout()
-    assert layout.stack_base == layout.stack_top - layout.max_stack
+    # every area fits below the next: text, data/heap, mmap, stack
+    assert layout.text_base + layout.text_size <= layout.data_base
+    assert layout.heap_limit <= layout.mmap_base < layout.mmap_limit
+    assert layout.mmap_limit <= layout.stack_top - layout.max_stack
 
 
 def test_layout_rejects_unaligned():

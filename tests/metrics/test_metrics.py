@@ -16,7 +16,6 @@ from repro.metrics import (
     mean_omitting_first,
 )
 from repro.metrics.bursts import quiet_indices
-from repro.metrics.stats import aggregate_ranks
 from repro.units import MiB
 
 
@@ -170,10 +169,3 @@ def test_footprint_stats():
     assert stats.max_mb == pytest.approx(100.0)
     assert stats.avg_mb == pytest.approx(75.0)
     assert "MB" in stats.as_row()
-
-
-def test_aggregate_ranks():
-    mean, mx = aggregate_ranks({0: 10.0, 1: 20.0})
-    assert mean == 15.0 and mx == 20.0
-    with pytest.raises(ConfigurationError):
-        aggregate_ranks({})

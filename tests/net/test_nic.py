@@ -105,21 +105,6 @@ def test_detach_stops_delivery():
     assert got == []
 
 
-def test_drop_next_discards_messages_silently():
-    eng, net, proc, nic = make_nic()
-    got = []
-    nic.on_message = got.append
-    nic.drop_next(1)
-    net.send(Message(src=0, dst=1, size=64))
-    net.send(Message(src=0, dst=1, size=64))
-    eng.run()
-    assert len(got) == 1                  # first message was dropped
-    assert nic.messages_dropped == 1
-    assert nic.messages_received == 1
-    with pytest.raises(NetworkError):
-        nic.drop_next(0)
-
-
 def test_fail_detaches_and_discards_everything():
     eng, net, proc, nic = make_nic()
     got = []

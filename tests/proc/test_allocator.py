@@ -106,15 +106,6 @@ def test_live_and_peak_accounting():
     assert alloc.n_mallocs == 3 and alloc.n_frees == 1
 
 
-def test_calloc_dirties_pages():
-    alloc, proc = make_alloc()
-    proc.mprotect_data()
-    block = alloc.calloc(4 * PS)
-    # zeroing wrote the pages; if heap, those pages became dirty...
-    # calloc on the mmap path writes the new segment (unprotected -> no dirty)
-    assert proc.memory._version > 0  # content definitely changed
-
-
 @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=300 * 1024)),
                 min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)

@@ -112,12 +112,13 @@ def test_pending_events_counts_only_live():
     assert eng.pending_events() == 1
 
 
-def test_peek_time_skips_cancelled():
+def test_step_skips_cancelled():
     eng = Engine()
     ev = eng.schedule(1.0, lambda: None)
     eng.schedule(2.0, lambda: None)
     ev.cancel()
-    assert eng.peek_time() == 2.0
+    assert eng.step() is True
+    assert eng.now == 2.0
 
 
 def test_deadlock_detection():

@@ -67,7 +67,6 @@ def test_no_compaction_below_min_heap_size():
     for ev in events:
         ev.cancel()
     assert eng.pending_events() == 0
-    assert eng.peek_time() is None
     assert eng.step() is False
 
 

@@ -42,20 +42,6 @@ def test_fresh_restarts_from_initial_state():
     assert np.array_equal(initial, again)
 
 
-def test_spawn_children_are_independent_of_parent():
-    parent = RngStreams(3)
-    child = parent.spawn("child")
-    a = parent.stream("x").random(8)
-    b = child.stream("x").random(8)
-    assert not np.array_equal(a, b)
-
-
-def test_spawn_is_deterministic():
-    a = RngStreams(3).spawn("c").stream("x").random(8)
-    b = RngStreams(3).spawn("c").stream("x").random(8)
-    assert np.array_equal(a, b)
-
-
 def test_adding_new_stream_does_not_perturb_existing():
     s1 = RngStreams(5)
     draw_before = s1.stream("existing").random(8)

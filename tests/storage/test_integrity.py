@@ -127,11 +127,11 @@ def test_require_seq_detects_silently_missing_tail():
 
 def test_flip_bits_is_detected_and_deterministic():
     a, b = build_store(), build_store()
-    assert a.verify_piece(0, 5).ok
+    assert a.verify_chain(0).intact
     a.flip_bits(0, 5, seed=42)
     b.flip_bits(0, 5, seed=42)
-    bad = a.verify_piece(0, 5)
-    assert not bad.ok and bad.reason == "digest-mismatch"
+    bad = a.verify_chain(0).first_bad
+    assert bad.seq == 5 and bad.reason == "digest-mismatch"
     # deterministic: both stores corrupted identically
     pa, pb = a.find(0, 5).payload, b.find(0, 5).payload
     assert np.array_equal(pa.payloads[0].versions,
@@ -155,7 +155,7 @@ def test_flip_bits_on_payload_free_piece_is_a_noop():
     store = CheckpointStore(1)
     store.put(0, 1, "full", 4096, payload=None)
     assert store.flip_bits(0, 1) is None
-    assert store.verify_piece(0, 1).ok
+    assert store.verify_chain(0).intact
 
 
 def test_flip_bits_validates_arguments():
@@ -183,8 +183,8 @@ def test_truncate_updates_ledger_and_breaks_equality():
     assert truncated != original
     assert (truncated.rank, truncated.seq) == (original.rank, original.seq)
     # the recorded digest still describes the full write: mismatch
-    bad = store.verify_piece(0, 5)
-    assert not bad.ok and bad.reason == "digest-mismatch"
+    bad = store.verify_chain(0).first_bad
+    assert bad.seq == 5 and bad.reason == "digest-mismatch"
     # payload shrank consistently with the declared size
     assert truncated.payload.nbytes <= truncated.nbytes
 
@@ -195,7 +195,7 @@ def test_truncate_to_zero_keeps_count_but_drops_bytes():
     assert store.count() == 1
     piece = store.find(0, 1)
     assert piece.nbytes <= 64 * len(piece.payload.geometry)
-    assert not store.verify_piece(0, 1).ok
+    assert store.verify_chain(0).first_bad.seq == 1
 
 
 def test_truncate_bounds_checked():

@@ -25,7 +25,7 @@ def run_cli(*argv):
     ["feasibility", "--help"],
     ["table1", "--help"],
     ["validate", "--help"],
-    ["report", "--help"],
+    ["ckpt", "verify", "--help"],
     ["faults", "--help"],
     ["faults", "run", "--help"],
     ["obs", "--help"],
@@ -59,6 +59,7 @@ def test_obs_flags_documented_in_help(capsys):
     ["obs"],                      # needs a subcommand
     ["ckpt"],                     # needs a subcommand
     ["sweep", "--app", "lu", "--jobs", "0"],
+    ["report", "--help"],         # the second rendering is gone
 ])
 def test_bad_usage_exits_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -74,7 +75,7 @@ def test_bad_usage_exits_two(argv, capsys):
     ["sweep", "--app", "lu", "--timeslices", "1,0"],
     ["sweep", "--app", "lu", "--timeslices", "1,x"],
     ["feasibility", "--ranks", "0"],
-    ["report", "--out", "unused", "--ranks", "0"],
+    ["faults", "run", "--app", "lu", "--ranks", "0"],
 ])
 def test_non_positive_or_malformed_counts_exit_two(argv, capsys):
     # rejected while parsing, before any simulation (or any traceback)

@@ -35,10 +35,9 @@ def test_sage_dynamic_allocation_also_deterministic():
     r2 = run_experiment(cfg)
     for rank in (0, 1):
         assert traces_equal(r1.log(rank), r2.log(rank))
-    # geometry identical as well
-    sig1 = r1.job.processes[0].memory.state_signature()
-    sig2 = r2.job.processes[0].memory.state_signature()
-    assert sorted(sig1) == sorted(sig2)
+    # geometry and page versions identical as well
+    for p1, p2 in zip(r1.job.processes, r2.job.processes):
+        assert p1.memory.state_digest() == p2.memory.state_digest()
 
 
 def test_different_timeslice_different_trace():
