@@ -34,10 +34,8 @@ from repro.checkpoint.recovery import (
 from repro.checkpoint.coordinated import CheckpointEngine, GlobalCheckpoint
 from repro.checkpoint.transport import (
     CheckpointTransport,
-    DisklessTransport,
     DrainQueue,
     EstimateTransport,
-    NetworkTransport,
     TransportSpec,
     TransportStats,
     make_transport,
@@ -58,13 +56,11 @@ __all__ = [
     "CheckpointPlanner",
     "CheckpointTransport",
     "DcpCheckpointer",
-    "DisklessTransport",
     "DrainQueue",
     "EstimateTransport",
     "FullCheckpointer",
     "GlobalCheckpoint",
     "IncrementalCheckpointer",
-    "NetworkTransport",
     "TransportSpec",
     "TransportStats",
     "LoggedMessage",

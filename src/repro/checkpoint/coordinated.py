@@ -233,9 +233,8 @@ class CheckpointEngine:
                        stored_at=now)
         gc.total_bytes += ckpt.nbytes
         gc.per_rank_bytes[rank] = ckpt.nbytes
-        disk = self._disks[rank]
         if self.cow:
-            duration = self._estimate_write_duration(disk, ckpt.nbytes)
+            duration = self._disks[rank].write_duration(ckpt.nbytes)
             writeout = CowWriteout(self.job.processes[rank], ckpt, duration)
             self._writeouts.append(writeout)
         stall = self.transport.submit(rank, ckpt.seq, ckpt.nbytes,
@@ -243,20 +242,6 @@ class CheckpointEngine:
         if rank == 0 and self.transport.spec.measured:
             self.transport.sample(ckpt.seq)
         return stall
-
-    @staticmethod
-    def _estimate_write_duration(sink, nbytes: int) -> float:
-        """Expected stream duration for the COW window: queueing (if the
-        sink exposes it) plus the transfer at the sink's rate."""
-        delay = sink.queue_delay() if hasattr(sink, "queue_delay") else 0.0
-        if hasattr(sink, "spec"):                      # Disk
-            return delay + sink.spec.write_time(nbytes)
-        if hasattr(sink, "aggregate_bandwidth"):       # StorageArray
-            return delay + nbytes / sink.aggregate_bandwidth()
-        if hasattr(sink, "link"):                      # DisklessSink
-            return delay + sink.link.transfer_time(nbytes)
-        raise CheckpointError(
-            f"cannot estimate write duration for sink {sink!r}")
 
     def _on_durable(self, rank: int, seq: int,
                     done_at: Optional[float]) -> None:
@@ -324,7 +309,7 @@ class CheckpointEngine:
                 if gc.committed]
 
     def bytes_to_storage(self) -> int:
-        """Total checkpoint bytes streamed to disks (all ranks)."""
+        """Total checkpoint bytes written to the sinks (all ranks)."""
         return sum(d.bytes_written for d in self._disks.values())
 
     def cow_stats(self) -> tuple[int, float]:

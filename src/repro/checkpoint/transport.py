@@ -17,10 +17,14 @@ the simulated fabric instead:
     (the aggregate ingest bottleneck of the storage target), and only
     then hit the rank's disk.
 ``diskless``
-    Frames cross the fabric to a *buddy rank's* receive link (incast
-    with application traffic on that node) and land in the buddy's
-    memory at memcpy speed
-    (:meth:`~repro.storage.DisklessSink.reserve_ingest`).
+    The same frames cross the fabric to a *buddy rank's* receive link
+    (incast with application traffic on that node) and land in the
+    buddy's memory at memcpy speed.
+
+Both framed modes are one class, :class:`_FramedTransport`, and the
+mode only picks each rank's frame destination.  On arrival a frame
+calls its sink's ``reserve`` (the sink contract of
+:mod:`repro.storage`).
 
 Every rank owns a bounded drain queue.  Bytes enter at capture and
 leave at frame durability; the invariant ``enqueued == drained +
@@ -367,7 +371,7 @@ class EstimateTransport(CheckpointTransport):
 
 
 class _FramedTransport(CheckpointTransport):
-    """Shared frame machinery of the network and diskless modes.
+    """The ``network`` and ``diskless`` modes: pieces cut into frames.
 
     Per rank, pieces drain in FIFO order: frames inject back-to-back at
     the rank's NIC (the transmit link stays busy, but application
@@ -376,6 +380,13 @@ class _FramedTransport(CheckpointTransport):
     arrival.  Both the fabric and the sinks are FIFO, so the head piece
     always completes first, and a piece's last frame is its last to
     become durable.
+
+    The two modes differ only in where a frame goes, which the
+    constructor picks once: in ``network`` mode every rank sends to one
+    shared :class:`~repro.net.network.StoragePort` (the DMTCP-style
+    cluster-wide writeback bottleneck) and all ranks share one arrival
+    lane; in ``diskless`` mode rank ``r`` sends to ``buddies[r]``'s
+    receive link, one lane per buddy.
 
     Event budget: no engine event per frame, one per piece (the last
     frame's durability, :meth:`_piece_durable`), and one per contiguous
@@ -400,15 +411,10 @@ class _FramedTransport(CheckpointTransport):
     before the engine's position into the drain ledger (and the
     ``drained_bytes`` series), so every reader sees exactly the ledger
     one durability event per frame would produce.
-
-    Subclasses set, per rank, the sink's ``reserve`` (``_reserve``), the
-    arrival lane (``_lanes``); and, once, ``_send(rank, nbytes)``:
-    ``Network.storage_send`` to the rank's fabric target, the storage
-    port or the rank's buddy node.
     """
 
     def __init__(self, spec: TransportSpec, engine, sinks: dict,
-                 nranks: int, network):
+                 nranks: int, network, buddies: dict[int, int]):
         super().__init__(spec, engine, sinks, nranks)
         self.network = network
         #: pieces awaiting durability, per rank, in submission order
@@ -423,13 +429,33 @@ class _FramedTransport(CheckpointTransport):
         #: heads, and the seqs of its entries that have a pump queued
         self._stream: list[tuple] = []
         self._armed: set[int] = set()
+        if spec.mode == "network":
+            port = network.open_storage_port("ckpt-storage")
+
+            def send(rank: int, nbytes: int):
+                return network.storage_send(rank, nbytes, port=port)
+
+            # every rank's frames serialize at the one storage port
+            self._lanes = [deque()] * nranks
+        else:
+            for rank in range(nranks):
+                if buddies.get(rank) is None:
+                    raise CheckpointError(f"rank {rank} has no buddy")
+
+            def send(rank: int, nbytes: int):
+                return network.storage_send(rank, nbytes,
+                                            dst=buddies[rank])
+
+            # frames serialize at their buddy's receive link
+            lanes: dict[int, deque] = {}
+            self._lanes = [lanes.setdefault(buddies[r], deque())
+                           for r in range(nranks)]
+        self._send = send
+        self._reserve = [sinks[r].reserve for r in range(nranks)]
         #: effective drain rate used to convert queue excess to stall
         #: seconds -- the slower of the wire and the sink
         self._drain_rate = min(network.spec.bandwidth,
-                               self._sink_rate())
-
-    def _sink_rate(self) -> float:
-        raise NotImplementedError
+                               min(sink.bandwidth for sink in sinks.values()))
 
     def submit(self, rank: int, seq: int, nbytes: int,
                on_durable: DurableFn) -> float:
@@ -609,79 +635,6 @@ class _FramedTransport(CheckpointTransport):
         return self.network.ckpt_contended_messages
 
 
-class NetworkTransport(_FramedTransport):
-    """Frames cross the fabric to a shared storage port, then the disk.
-
-    The port models the storage target's aggregate ingest link: frames
-    from every rank serialize there (the DMTCP-style cluster-wide
-    writeback bottleneck), then queue at the rank's disk behind it.
-    """
-
-    def __init__(self, spec: TransportSpec, engine, sinks: dict,
-                 nranks: int, network):
-        super().__init__(spec, engine, sinks, nranks, network)
-        port = self.port = network.open_storage_port("ckpt-storage")
-
-        def send(rank: int, nbytes: int):
-            return network.storage_send(rank, nbytes, port=port)
-
-        self._send = send
-        self._reserve = [sinks[r].reserve for r in range(nranks)]
-        # every rank's frames serialize at the one storage port
-        self._lanes = [deque()] * nranks
-
-    def _sink_rate(self) -> float:
-        rates = []
-        for sink in self.sinks.values():
-            if hasattr(sink, "spec"):                    # Disk
-                rates.append(sink.spec.bandwidth)
-            elif hasattr(sink, "aggregate_bandwidth"):   # StorageArray
-                rates.append(sink.aggregate_bandwidth())
-            else:
-                raise CheckpointError(
-                    f"network transport needs disk-like sinks, "
-                    f"got {sink!r}")
-        return min(rates)
-
-
-class DisklessTransport(_FramedTransport):
-    """Frames cross the fabric to a buddy rank's memory.
-
-    The buddy is the co-resident spread ``(rank + procs_per_node) %
-    nranks`` mapped by the caller; here the transport only needs the
-    destination rank per source.  Frames occupy the buddy's *receive*
-    link (incast with application traffic on that node) and then land
-    at memcpy speed via :meth:`~repro.storage.DisklessSink.reserve_ingest` --
-    the wire was already simulated, so the sink charges memory copy and
-    capacity only.
-    """
-
-    def __init__(self, spec: TransportSpec, engine, sinks: dict,
-                 nranks: int, network, buddies: dict[int, int]):
-        super().__init__(spec, engine, sinks, nranks, network)
-        for rank in range(nranks):
-            if buddies.get(rank) is None:
-                raise CheckpointError(f"rank {rank} has no buddy")
-            if not hasattr(sinks[rank], "reserve_ingest"):
-                raise CheckpointError(
-                    f"diskless transport needs DisklessSink-like sinks, "
-                    f"got {sinks[rank]!r}")
-        self.buddies = buddies
-
-        def send(rank: int, nbytes: int):
-            return network.storage_send(rank, nbytes, dst=buddies[rank])
-
-        self._send = send
-        self._reserve = [sinks[r].reserve_ingest for r in range(nranks)]
-        # frames serialize at their buddy's receive link
-        lanes: dict[int, deque] = {}
-        self._lanes = [lanes.setdefault(buddies[r], deque())
-                       for r in range(nranks)]
-
-    def _sink_rate(self) -> float:
-        return min(sink.memcpy_bandwidth for sink in self.sinks.values())
-
-
 def make_transport(transport: Union[None, str, TransportSpec], *,
                    engine, network, sinks: dict, nranks: int,
                    buddies: Optional[dict[int, int]] = None
@@ -691,8 +644,6 @@ def make_transport(transport: Union[None, str, TransportSpec], *,
     spec = normalize_spec(transport)
     if spec.mode == "estimate":
         return EstimateTransport(spec, engine, sinks, nranks)
-    if spec.mode == "network":
-        return NetworkTransport(spec, engine, sinks, nranks, network)
     if buddies is None:
         buddies = {r: (r + 1) % nranks for r in range(nranks)}
-    return DisklessTransport(spec, engine, sinks, nranks, network, buddies)
+    return _FramedTransport(spec, engine, sinks, nranks, network, buddies)

@@ -47,12 +47,6 @@ class StoragePort:
         self.frames = 0
         self.busy_time = 0.0
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the ingest link was busy."""
-        if elapsed <= 0:
-            raise NetworkError(f"non-positive elapsed time {elapsed}")
-        return min(1.0, self.busy_time / elapsed)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<StoragePort {self.name!r} frames={self.frames} "
                 f"bytes={self.bytes_received}>")

@@ -27,6 +27,11 @@ class Disk:
         self._fail_budget = 0
         self.writes_failed = 0
 
+    @property
+    def bandwidth(self) -> float:
+        """Peak sequential write bandwidth, B/s."""
+        return self.spec.bandwidth
+
     def write(self, nbytes: int) -> Future:
         """Enqueue a write of ``nbytes``; returns a completion future.
 
@@ -85,11 +90,10 @@ class Disk:
         """How long a write issued now would wait before starting."""
         return max(0.0, self._free_at - self.engine.now)
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the disk spent busy."""
-        if elapsed <= 0:
-            raise StorageError(f"non-positive elapsed time {elapsed}")
-        return min(1.0, self.busy_time / elapsed)
+    def write_duration(self, nbytes: int) -> float:
+        """Seconds a write of ``nbytes`` issued now takes to become
+        durable: the queue ahead of it plus its own transfer."""
+        return self.queue_delay() + self.spec.write_time(nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.units import fmt_bytes

@@ -2,8 +2,8 @@
 
 Plank's diskless checkpointing (related work, section 7) avoids the disk
 bottleneck by storing checkpoints in the memory of other nodes.  The
-sink here mimics the :class:`~repro.storage.Disk` interface so the
-coordinated checkpoint engine can use either interchangeably:
+sink here keeps the sink contract of :mod:`repro.storage`, so the
+coordinated checkpoint engine can use it in place of a disk:
 
 - a write streams over the interconnect (link latency + size/bandwidth)
   and lands in the buddy's memory at memcpy speed;
@@ -42,6 +42,11 @@ class DisklessSink:
         self.bytes_held = 0
         self.ops = 0
 
+    @property
+    def bandwidth(self) -> float:
+        """The memcpy bandwidth into the buddy's memory, B/s."""
+        return self.memcpy_bandwidth
+
     def write(self, nbytes: int) -> Future:
         """Stream ``nbytes`` to the buddy; future resolves at durability
         (in the buddy's memory)."""
@@ -52,7 +57,7 @@ class DisklessSink:
         self.engine.schedule_at(done_at, fut.resolve, done_at)
         return fut
 
-    def reserve_ingest(self, nbytes: int) -> tuple[float, bool]:
+    def reserve(self, nbytes: int) -> tuple[float, bool]:
         """Deposit ``nbytes`` that already crossed the fabric (the
         checkpoint transport simulated the wire itself): charge only the
         memcpy into the buddy's memory plus capacity.  No future or
@@ -88,6 +93,11 @@ class DisklessSink:
     def queue_delay(self) -> float:
         """How long a write issued now would wait before starting."""
         return max(0.0, self._free_at - self.engine.now)
+
+    def write_duration(self, nbytes: int) -> float:
+        """Seconds a write of ``nbytes`` issued now takes: the queue
+        ahead of it plus the trip over the link."""
+        return self.queue_delay() + self.link.transfer_time(nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.units import fmt_bytes

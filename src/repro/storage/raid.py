@@ -40,9 +40,15 @@ class StorageArray:
     def ndisks(self) -> int:
         return len(self.disks)
 
-    def aggregate_bandwidth(self) -> float:
+    @property
+    def bandwidth(self) -> float:
         """Peak sequential bandwidth of the stripe set, B/s."""
         return sum(d.spec.bandwidth for d in self.disks)
+
+    @property
+    def bytes_written(self) -> int:
+        """Total bytes written across the stripe set."""
+        return sum(d.bytes_written for d in self.disks)
 
     def write(self, nbytes: int) -> Future:
         """Striped write; future resolves when all chunks are durable,
@@ -75,9 +81,10 @@ class StorageArray:
             remaining -= chunk
         return done_at, ok
 
-    def bytes_written(self) -> int:
-        """Total bytes written across the stripe set."""
-        return sum(d.bytes_written for d in self.disks)
+    def write_duration(self, nbytes: int) -> float:
+        """Seconds a write of ``nbytes`` takes at the stripe set's
+        aggregate bandwidth (member queues are not consulted)."""
+        return nbytes / self.bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageArray {self.name!r} ndisks={self.ndisks}>"

@@ -238,3 +238,26 @@ def test_bytes_to_storage_accounted():
     eng, app, job, lib, ckpt = run_checkpointed()
     assert ckpt.bytes_to_storage() == sum(
         gc.total_bytes for gc in ckpt.globals.values())
+
+
+@pytest.mark.parametrize("transport", ["estimate", "network"])
+def test_bytes_to_storage_over_array_sinks(transport):
+    """A striped sink counts its bytes like a disk: the engine's total is
+    the sum over every member disk of every rank's array."""
+    from repro.storage import SCSI_ULTRA320, StorageArray
+
+    spec = small_spec(period=1.0, footprint_mb=4, main_mb=2)
+    eng = Engine()
+    app = SyntheticApp(spec, n_iterations=4)
+    job = MPIJob(eng, 2, process_factory=app.process_factory(eng))
+    lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
+    ckpt = CheckpointEngine(
+        job, lib, interval_slices=2, transport=transport,
+        storage_factory=lambda rank: StorageArray(eng, 4, SCSI_ULTRA320))
+    job.launch(app.make_body())
+    eng.run(detect_deadlock=True)
+    assert ckpt.committed()
+    member_bytes = sum(d.bytes_written for r in range(job.nranks)
+                       for d in ckpt.disk(r).disks)
+    assert member_bytes > 0
+    assert ckpt.bytes_to_storage() == member_bytes

@@ -56,16 +56,6 @@ def test_disk_negative_write_rejected():
         disk.write(-1)
 
 
-def test_disk_utilization():
-    eng = Engine()
-    disk = Disk(eng, DiskSpec("t", bandwidth=100.0, seek_latency=0.0))
-    disk.write(100)
-    eng.run(until=2.0)
-    assert disk.utilization(2.0) == pytest.approx(0.5)
-    with pytest.raises(StorageError):
-        disk.utilization(0.0)
-
-
 def test_process_can_block_on_disk_write():
     eng = Engine()
     disk = Disk(eng, DiskSpec("t", bandwidth=100.0, seek_latency=1.0))
@@ -85,7 +75,7 @@ def test_process_can_block_on_disk_write():
 def test_array_aggregate_bandwidth():
     eng = Engine()
     arr = StorageArray(eng, 4, DiskSpec("t", bandwidth=100.0, seek_latency=0.0))
-    assert arr.aggregate_bandwidth() == pytest.approx(400.0)
+    assert arr.bandwidth == pytest.approx(400.0)
 
 
 def test_array_striping_speeds_up_large_writes():
@@ -98,7 +88,7 @@ def test_array_striping_speeds_up_large_writes():
     eng.run()
     assert f_single.value == pytest.approx(8.0)
     assert f_arr.value == pytest.approx(2.0)  # 2 chunks per disk
-    assert arr.bytes_written() == 800
+    assert arr.bytes_written == 800
 
 
 def test_array_zero_byte_write_resolves_immediately():
@@ -163,7 +153,7 @@ def test_array_write_with_failed_chunk_resolves_none():
     eng.run()
     assert got == [None]                  # one lost chunk loses the write
     assert arr.disks[0].writes_failed == 1
-    assert arr.bytes_written() == 3 * MiB
+    assert arr.bytes_written == 3 * MiB
 
 
 def test_reserve_matches_write_accounting_without_events():

@@ -79,10 +79,6 @@ KEEP = {
         "whether a copy-on-write writeout is still draining",
     "repro.checkpoint.uncoordinated:MessageLogger.before":
         "the message log up to a time, the logger's query",
-    "repro.net.network:StoragePort.utilization":
-        "busy fraction of the shared storage link",
-    "repro.storage.disk:Disk.utilization":
-        "busy fraction of one disk",
 }
 
 
