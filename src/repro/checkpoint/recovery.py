@@ -158,7 +158,7 @@ def _overlay(memory: AddressSpace, head: Checkpoint,
                            by_key[key]))
     max_version = memory._version
     for seg, (_, versions) in stamps:
-        seg.pages.versions[:] = versions
+        seg.pages.load_versions(versions)
         if len(versions):
             max_version = max(max_version, int(versions.max()))
     # future writes must not reuse version numbers already on the pages

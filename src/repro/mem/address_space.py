@@ -99,6 +99,11 @@ class AddressSpace:
         #: cached (total_pages, total_bytes) over the data segments;
         #: invalidated on map/unmap and on sbrk (heap size changes)
         self._data_totals: Optional[tuple[int, int]] = None
+        #: data segments in state-digest ``(kind, base)`` order, and
+        #: segment -> (leaf, record) of its last digest; both dropped on
+        #: mmap/munmap, which is also the only way a base can change
+        self._digest_order: Optional[list[Segment]] = None
+        self._digest_records: dict[Segment, tuple[bytes, bytes]] = {}
         #: deepest stack page ever written (index within the stack
         #: segment); None until the first stack write.  The stack grows
         #: down from stack_top, so depth = (npages - lowest index) pages.
@@ -146,6 +151,8 @@ class AddressSpace:
         self._data_cache = None
         self._last_seg = None
         self._data_totals = None
+        self._digest_order = None
+        self._digest_records.clear()
 
     def _totals(self) -> tuple[int, int]:
         totals = self._data_totals
@@ -308,10 +315,6 @@ class AddressSpace:
             off = addr - seg.base
             blocks.mark_bytes(off, off + size, version)
         return WriteResult(pages=hi - lo, faults=0, missed=missed)
-
-    def read(self, addr: int, size: int) -> None:
-        """A load; only checks the mapping (the paper tracks writes only)."""
-        self._resolve(addr, size)
 
     # -- heap (brk/sbrk) ----------------------------------------------------------------
 
@@ -515,18 +518,33 @@ class AddressSpace:
         """Fixed-size sha256 digest of data-memory geometry and page
         versions.
 
-        Covers each data segment's ``(kind, base, size)`` and its page
-        versions, segments in ``(kind, base)`` order.  Segments count by
-        position, not by segment id, so a *restored* address space
-        (whose segments are new objects) digests equal to the original
-        at checkpoint time: equal digests mean identical data memory (up
-        to a sha256 collision).
+        sha256 over one record per data segment, segments in ``(kind,
+        base)`` order: ``f"{kind}|{base}|{size}|"`` followed by the
+        segment's leaf, the sha256 of its page versions
+        (:meth:`PageTable.leaf`).  Segments count by position, not by
+        segment id, so a *restored* address space (whose segments are
+        new objects) digests equal to the original at checkpoint time:
+        equal digests mean identical data memory (up to a sha256
+        collision).
+
+        Leaves are cached by the page tables and dropped by every write,
+        so a digest rehashes only the segments changed since the last
+        one; an unchanged segment costs one identity check.
         """
+        order = self._digest_order
+        if order is None:
+            order = self._digest_order = sorted(
+                self._data_list(), key=lambda seg: (seg.kind.value, seg.base))
+        records = self._digest_records
         h = sha256()
-        for seg in sorted(self.data_segments(),
-                          key=lambda seg: (seg.kind.value, seg.base)):
-            h.update(f"{seg.kind.value}|{seg.base}|{seg.size}|".encode())
-            h.update(seg.pages.versions)
+        for seg in order:
+            leaf = seg.pages.leaf()
+            record = records.get(seg)
+            if record is None or record[0] is not leaf:
+                record = records[seg] = (
+                    leaf, f"{seg.kind.value}|{seg.base}|{seg.size}|".encode()
+                    + leaf)
+            h.update(record[1])
         return h.digest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,7 +12,8 @@ Three NumPy arrays hold the page state:
     64-bit content signature, bumped on every write (CPU or DMA).  Two
     address spaces hold identical data iff their version arrays match,
     which is how checkpoint-restore correctness is asserted without
-    storing page payloads.
+    storing page payloads.  The view is read-only: every change goes
+    through a method, which also drops the cached :meth:`PageTable.leaf`.
 
 All bulk operations are O(range) NumPy slices; a full-scale Sage-1000MB
 footprint is ~61k pages, so a whole timeslice costs microseconds.
@@ -25,6 +26,7 @@ per page instead of one full ``np.concatenate`` copy per call.
 
 from __future__ import annotations
 
+from hashlib import sha256
 from typing import Optional
 
 import numpy as np
@@ -37,7 +39,8 @@ class PageTable:
 
     __slots__ = ("npages", "protected", "dirty", "versions",
                  "_capacity", "_protected_buf", "_dirty_buf", "_versions_buf",
-                 "_ndirty", "_dirty_overlap", "_all_protected", "_hwm")
+                 "_ndirty", "_dirty_overlap", "_all_protected", "_hwm",
+                 "_leaf")
 
     def __init__(self, npages: int):
         if npages < 0:
@@ -80,7 +83,28 @@ class PageTable:
         n = self.npages
         self.protected = self._protected_buf[:n]
         self.dirty = self._dirty_buf[:n]
-        self.versions = self._versions_buf[:n]
+        versions = self._versions_buf[:n]
+        versions.setflags(write=False)
+        self.versions = versions
+        self._leaf = None
+
+    def leaf(self) -> bytes:
+        """sha256 of the ``versions`` view: this segment's leaf of
+        :meth:`AddressSpace.state_digest`.  Cached until the next write,
+        resize, recycle, split or :meth:`load_versions`, so a digest
+        rehashes only the tables changed since the previous one."""
+        leaf = self._leaf
+        if leaf is None:
+            leaf = self._leaf = sha256(self.versions).digest()
+        return leaf
+
+    def load_versions(self, values: np.ndarray) -> None:
+        """Overwrite every page's version (checkpoint restore)."""
+        if len(values) != self.npages:
+            raise MappingError(
+                f"{len(values)} versions for a table of {self.npages} pages")
+        self._versions_buf[:self.npages] = values
+        self._leaf = None
 
     # -- writes ---------------------------------------------------------------
 
@@ -101,7 +125,8 @@ class PageTable:
             self.protected[sl] = False
             self._ndirty += nfaults
             self._all_protected = False
-            self.versions[sl] = version
+            self._versions_buf[sl] = version
+            self._leaf = None
             return nfaults
         prot = self.protected[sl]
         nfaults = int(np.count_nonzero(prot))
@@ -118,7 +143,8 @@ class PageTable:
             self.protected[sl] = False
             self._ndirty += newly
             self._all_protected = False
-        self.versions[sl] = version
+        self._versions_buf[sl] = version
+        self._leaf = None
         return nfaults
 
     def dma_write(self, lo: int, hi: int, version: int) -> int:
@@ -140,7 +166,8 @@ class PageTable:
         self._check_range(lo, hi)
         sl = slice(lo, hi)
         missed = int(np.count_nonzero(self.protected[sl] & ~self.dirty[sl]))
-        self.versions[sl] = version
+        self._versions_buf[sl] = version
+        self._leaf = None
         return missed
 
     # -- protection ------------------------------------------------------------
@@ -259,6 +286,7 @@ class PageTable:
         self._ndirty = 0
         self._dirty_overlap = False
         self._all_protected = False
+        self._leaf = None
 
     def split(self, at: int) -> "PageTable":
         """Split off pages ``[at, npages)`` into a new table (for partial
@@ -267,7 +295,7 @@ class PageTable:
         tail = PageTable(self.npages - at)
         tail.protected[:] = self.protected[at:]
         tail.dirty[:] = self.dirty[at:]
-        tail.versions[:] = self.versions[at:]
+        tail.load_versions(self.versions[at:])
         tail._ndirty = int(np.count_nonzero(tail.dirty))
         tail._dirty_overlap = self._dirty_overlap
         tail._all_protected = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.storage import Disk
+from repro.storage import Disk, StorageArray
 from repro.storage.integrity import HASH_BANDWIDTH
 
 
@@ -115,8 +115,14 @@ def _publish_checkpoint(metrics, ckpt) -> None:
     _add(metrics, commits, {"checkpoint.commits": commits})
     failed = len(ckpt.write_failures)
     _add(metrics, failed, {"checkpoint.write_failures": failed})
-    disks = [sink for sink in map(ckpt.disk, range(ckpt.job.nranks))
-             if isinstance(sink, Disk)]        # diskless sinks have none
+    # an array counts its member disks; diskless sinks (buddy memory,
+    # not storage) have none
+    disks = []
+    for sink in map(ckpt.disk, range(ckpt.job.nranks)):
+        if isinstance(sink, Disk):
+            disks.append(sink)
+        elif isinstance(sink, StorageArray):
+            disks.extend(sink.disks)
     written = [d for d in disks if d.ops > d.writes_failed]
     _add(metrics, written, {
         "storage.bytes_written": sum(d.bytes_written for d in written)})

@@ -106,7 +106,7 @@ class CheckpointStore:
         Every rank must have stored a piece with exactly this sequence.
         """
         for rank in range(self.nranks):
-            if not any(obj.seq == seq for obj in self._chains[rank]):
+            if self.find(rank, seq) is None:
                 raise StorageError(
                     f"cannot commit seq {seq}: rank {rank} has no piece for it")
         if self._committed and seq <= self._committed[-1]:
@@ -147,11 +147,13 @@ class CheckpointStore:
     # -- integrity -----------------------------------------------------------
 
     def find(self, rank: int, seq: int) -> Optional[StoredObject]:
-        """The stored piece for ``(rank, seq)``, or None."""
+        """The stored piece for ``(rank, seq)``, or None.  Chains hold
+        strictly increasing sequences (:meth:`put`), so the search runs
+        from the tail and stops below ``seq``."""
         self._check_rank(rank)
-        for obj in self._chains[rank]:
-            if obj.seq == seq:
-                return obj
+        for obj in reversed(self._chains[rank]):
+            if obj.seq <= seq:
+                return obj if obj.seq == seq else None
         return None
 
     def verify_chain(self, rank: int, upto_seq: Optional[int] = None,

@@ -261,3 +261,27 @@ def test_bytes_to_storage_over_array_sinks(transport):
                        for d in ckpt.disk(r).disks)
     assert member_bytes > 0
     assert ckpt.bytes_to_storage() == member_bytes
+
+
+def test_array_sinks_publish_their_member_disks_bytes():
+    """A run over striped sinks publishes the storage bytes its member
+    disks wrote, as a run over plain disks does."""
+    from repro.obs import MetricsRegistry
+    from repro.obs.publish import publish_run
+    from repro.storage import StorageArray
+
+    spec = small_spec(period=1.0, footprint_mb=4, main_mb=2)
+    eng = Engine()
+    app = SyntheticApp(spec, n_iterations=4)
+    job = MPIJob(eng, 2, process_factory=app.process_factory(eng))
+    lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
+    ckpt = CheckpointEngine(job, lib, interval_slices=2,
+                            storage_factory=lambda r: StorageArray(eng, 2))
+    job.launch(app.make_body())
+    eng.run(detect_deadlock=True)
+    reg = MetricsRegistry()
+    publish_run(reg, engine=eng, job=job, library=lib, ckpt=ckpt)
+    written = sum(d.bytes_written for r in range(job.nranks)
+                  for d in ckpt.disk(r).disks)
+    assert written > 0
+    assert reg.snapshot()["storage.bytes_written"]["value"] == written

@@ -245,15 +245,6 @@ def test_state_digest_tracks_the_signature():
     assert a.state_digest() == b.state_digest()
 
 
-def test_read_checks_mapping_only():
-    asp = make_space()
-    asp.protect_data()
-    asp.read(asp.data.base, PS)  # no fault for reads
-    assert asp.dirty_pages() == 0
-    with pytest.raises(SegmentationFault):
-        asp.read(0x10, 4)
-
-
 def test_find_segment():
     asp = make_space()
     assert asp.find_segment(asp.data.base).kind == SegmentKind.DATA

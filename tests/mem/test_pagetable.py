@@ -193,6 +193,32 @@ def test_split_preserves_state_on_both_sides():
     assert tail.protected[3]  # page 7 never written, still protected
 
 
+def test_versions_view_is_read_only():
+    pt = PageTable(4)
+    with pytest.raises(ValueError):
+        pt.versions[0] = 1
+    pt.resize(40)           # past capacity: fresh buffers, fresh view
+    with pytest.raises(ValueError):
+        pt.versions[0] = 1
+    assert not pt.split(2).versions.flags.writeable
+
+
+def test_leaf_is_cached_until_versions_change():
+    pt = PageTable(4)
+    leaf = pt.leaf()
+    assert pt.leaf() is leaf
+    pt.protect_all()
+    pt.reset_dirty()
+    assert pt.leaf() is leaf            # protection is not content
+    pt.cpu_write(1, 2, version=5)
+    assert pt.leaf() != leaf
+    leaf = pt.leaf()
+    pt.load_versions(np.array([0, 5, 0, 0], dtype=np.uint64))
+    assert pt.leaf() is not leaf and pt.leaf() == leaf
+    with pytest.raises(MappingError):
+        pt.load_versions(np.zeros(3, dtype=np.uint64))
+
+
 # -- property tests -------------------------------------------------------------
 
 @st.composite

@@ -72,6 +72,19 @@ def test_commit_requires_all_ranks():
     assert store.latest_committed() == 0
 
 
+def test_commit_refuses_a_rank_missing_its_piece():
+    store = CheckpointStore(3)
+    for rank in range(3):
+        store.put(rank, 0, "full", 100)
+        if rank != 1:
+            store.put(rank, 2, "incremental", 10)
+        store.put(rank, 3, "incremental", 10)
+    with pytest.raises(StorageError, match="rank 1 has no piece for it"):
+        store.mark_committed(2)
+    store.mark_committed(3)
+    assert store.committed_sequences() == [3]
+
+
 def test_commits_monotonic():
     store = CheckpointStore(1)
     store.put(0, 0, "full", 100)

@@ -71,8 +71,6 @@ KEEP = {
         "zeroes lifetime counters of an engine reused across runs",
     "repro.sim.random:RngStreams.fresh":
         "an uncached stream in its initial state, for replay",
-    "repro.mem.address_space:AddressSpace.read":
-        "a load: mapping check only, the counterpart of cpu_write",
     "repro.proc.process:Process.mprotect":
         "mprotect of one page range, the syscall model's own entry",
     "repro.checkpoint.cow:CowWriteout.active":
