@@ -310,7 +310,7 @@ class CheckpointEngine:
 
     def bytes_to_storage(self) -> int:
         """Total checkpoint bytes written to the sinks (all ranks)."""
-        return sum(d.bytes_written for d in self._disks.values())
+        return sum(d.bytes_written for d in self.sinks())
 
     def cow_stats(self) -> tuple[int, float]:
         """(total copy-on-write page copies, total copy time charged)."""
@@ -325,6 +325,11 @@ class CheckpointEngine:
     def disk(self, rank: int) -> Disk:
         """The storage sink serving one rank."""
         return self._disks[rank]
+
+    def sinks(self) -> list:
+        """Every distinct storage sink, once each however many ranks
+        share it."""
+        return list(dict.fromkeys(self._disks.values()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CheckpointEngine every={self.interval_slices} slices "

@@ -67,10 +67,6 @@ class MessageLogger:
 
         ctx.comm.receive_listeners.append(record)
 
-    def before(self, t: float) -> list[LoggedMessage]:
-        """Messages fully delivered by time ``t``."""
-        return [m for m in self.messages if m.recv_time <= t]
-
 
 class UncoordinatedSchedule:
     """Independent per-rank checkpoint instants.

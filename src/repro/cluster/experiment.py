@@ -11,7 +11,7 @@ Sweeps over the checkpoint timeslice (Figs 2-4) and the processor count
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.apps.base import ScientificApplication
 from repro.apps.registry import default_run_duration, paper_spec
@@ -157,16 +157,7 @@ class ExperimentResult:
         Detached results are picklable (pool workers ship them between
         processes) and serializable to the persistent cache; every
         derived statistic still works."""
-        return ExperimentResult(
-            config=self.config,
-            logs=self.logs,
-            init_end_time=self.init_end_time,
-            iterations=self.iterations,
-            iteration_starts=list(self.iteration_starts),
-            final_time=self.final_time,
-            transport_stats=self.transport_stats,
-            ckpt_commits=self.ckpt_commits,
-        )
+        return replace(self, app=None, library=None, job=None, ckpt=None)
 
     def measured_feasibility(self, envelope=None):
         """The *measured* feasibility verdict for this run, or None when
@@ -180,6 +171,74 @@ class ExperimentResult:
                     else FeasibilityAnalyzer())
         return analyzer.assess_measured(self.config.spec.name, stats,
                                         self.config.timeslice)
+
+
+@dataclass
+class _AssembledJob:
+    """A job built from a config and ready to launch."""
+
+    app: ScientificApplication
+    job: MPIJob
+    library: Optional[InstrumentationLibrary]
+    ckpt: Optional[object]
+    #: starts every rank (fresh bodies, or resume bodies on a restart);
+    #: returns the launched processes
+    launch: Callable[[], list]
+
+
+def _assemble(config: ExperimentConfig, engine: Engine, run_duration: float,
+              chains: Optional[dict] = None, *, instrument: bool = True,
+              restorable: bool = False) -> _AssembledJob:
+    """Build (but do not launch) the job ``config`` describes on
+    ``engine``: the one construction behind :func:`run_experiment`,
+    :func:`run_uninstrumented` and every life of a fault run.
+
+    ``chains`` (one verified recovery chain per rank) restarts the job
+    from them through :class:`~repro.checkpoint.RestartCoordinator`.
+    ``instrument`` False leaves out the instrumentation library and with
+    it any checkpointing.  ``restorable`` runs (fault-run lives) always
+    checkpoint -- a None transport is "estimate" -- and keep the payloads
+    a later restore reads.  Diskless chains are garbage-collected as each
+    full checkpoint commits, since buddy memory is bounded."""
+    layout = Layout(page_size=config.page_size)
+    app = ScientificApplication(config.spec, run_duration=run_duration,
+                                charge_overhead=config.charge_overhead,
+                                layout=layout)
+    if chains is None:
+        job = MPIJob(engine, config.nranks, layout=layout,
+                     procs_per_node=config.procs_per_node,
+                     process_factory=app.process_factory(engine),
+                     name=config.spec.name)
+        launch = lambda: job.launch(app.make_body())
+    else:
+        from repro.checkpoint import RestartCoordinator
+        coordinator = RestartCoordinator(app, chains)
+        job = coordinator.restart(engine, procs_per_node=config.procs_per_node,
+                                  name=config.spec.name)
+        launch = lambda: coordinator.launch(job)
+    library = ckpt = None
+    if instrument:
+        library = InstrumentationLibrary(
+            TrackerConfig(timeslice=config.timeslice,
+                          fault_cost=config.fault_cost,
+                          reprotect_cost_per_page=config.reprotect_cost_per_page,
+                          protect_on_map=config.protect_on_map,
+                          intercept_receives=config.intercept_receives),
+            app_name=config.spec.name).install(job)
+        if not config.intercept_receives:
+            for nic in job.nics:
+                nic.strict_dma = False
+        if restorable or config.ckpt_transport is not None:
+            from repro.checkpoint import CheckpointEngine
+            ckpt = CheckpointEngine(
+                job, library, interval_slices=config.ckpt_interval_slices,
+                full_every=config.ckpt_full_every,
+                keep_payloads=restorable,
+                gc=(config.ckpt_transport == "diskless"),
+                transport=config.ckpt_transport,
+                block_size=config.ckpt_block_size)
+    return _AssembledJob(app=app, job=job, library=library, ckpt=ckpt,
+                         launch=launch)
 
 
 def run_experiment(config: ExperimentConfig,
@@ -196,82 +255,43 @@ def run_experiment(config: ExperimentConfig,
     deliveries through :meth:`~repro.sim.Engine.schedule_coalesced`.
     The differential tests swap in the per-item reference engine of
     ``tests/sim/reference.py`` and require the same simulation."""
-    engine = Engine(obs=obs)
-    layout = Layout(page_size=config.page_size)
-    app = ScientificApplication(config.spec, run_duration=config.duration,
-                                charge_overhead=config.charge_overhead,
-                                layout=layout)
-    job = MPIJob(engine, config.nranks, layout=layout,
-                 procs_per_node=config.procs_per_node,
-                 process_factory=app.process_factory(engine),
-                 name=config.spec.name)
-    library = InstrumentationLibrary(
-        TrackerConfig(timeslice=config.timeslice,
-                      fault_cost=config.fault_cost,
-                      reprotect_cost_per_page=config.reprotect_cost_per_page,
-                      protect_on_map=config.protect_on_map,
-                      intercept_receives=config.intercept_receives),
-        app_name=config.spec.name).install(job)
-    if not config.intercept_receives:
-        for nic in job.nics:
-            nic.strict_dma = False
-    ckpt = None
-    if config.ckpt_transport is not None:
-        from repro.checkpoint import CheckpointEngine
-        ckpt = CheckpointEngine(job, library,
-                                interval_slices=config.ckpt_interval_slices,
-                                full_every=config.ckpt_full_every,
-                                keep_payloads=False,
-                                gc=(config.ckpt_transport == "diskless"),
-                                transport=config.ckpt_transport,
-                                block_size=config.ckpt_block_size)
-    procs = job.launch(app.make_body())
-    engine.run(detect_deadlock=True)
-    for p in procs:
-        if p.exception is not None:
-            raise p.exception
-    if engine.obs.enabled:
-        publish_run(engine.obs.metrics, engine=engine, job=job,
-                    library=library, ckpt=ckpt)
-
-    rc0 = app.contexts[0]
-    return ExperimentResult(
-        config=config,
-        logs=library.all_records(),
-        init_end_time=rc0.init_end_time,
-        iterations=rc0.iterations,
-        iteration_starts=list(rc0.iteration_starts),
-        final_time=engine.now,
-        app=app,
-        library=library,
-        job=job,
-        transport_stats=(None if ckpt is None else ckpt.transport_stats()),
-        ckpt_commits=(0 if ckpt is None else len(ckpt.committed())),
-        ckpt=ckpt,
-    )
+    return _run_job(config, Engine(obs=obs))
 
 
 def run_uninstrumented(config: ExperimentConfig) -> ExperimentResult:
     """The same run without any instrumentation (intrusiveness baseline)."""
-    engine = Engine()
-    layout = Layout(page_size=config.page_size)
-    app = ScientificApplication(config.spec, run_duration=config.duration,
-                                charge_overhead=False, layout=layout)
-    job = MPIJob(engine, config.nranks, layout=layout,
-                 procs_per_node=config.procs_per_node,
-                 process_factory=app.process_factory(engine),
-                 name=config.spec.name)
-    procs = job.launch(app.make_body())
+    return _run_job(config, Engine(), instrument=False)
+
+
+def _run_job(config: ExperimentConfig, engine: Engine,
+             instrument: bool = True) -> ExperimentResult:
+    """Assemble, launch and run one job to completion."""
+    built = _assemble(config, engine, config.duration, instrument=instrument)
+    procs = built.launch()
     engine.run(detect_deadlock=True)
     for p in procs:
         if p.exception is not None:
             raise p.exception
-    rc0 = app.contexts[0]
+    library, ckpt = built.library, built.ckpt
+    if engine.obs.enabled:
+        publish_run(engine.obs.metrics, engine=engine, job=built.job,
+                    library=library, ckpt=ckpt)
+
+    rc0 = built.app.contexts[0]
     return ExperimentResult(
-        config=config, logs={}, init_end_time=rc0.init_end_time,
+        config=config,
+        logs=({} if library is None else library.all_records()),
+        init_end_time=rc0.init_end_time,
         iterations=rc0.iterations,
         iteration_starts=list(rc0.iteration_starts),
-        final_time=engine.now, app=app, library=None, job=job)
+        final_time=engine.now,
+        app=built.app,
+        library=library,
+        job=built.job,
+        transport_stats=(None if ckpt is None else ckpt.transport_stats()),
+        ckpt_commits=(0 if ckpt is None else len(ckpt.committed())),
+        ckpt=ckpt,
+    )
 
 
 def sweep_timeslices(config: ExperimentConfig,

@@ -40,20 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.apps.base import ScientificApplication
-from repro.checkpoint import CheckpointEngine, RestartCoordinator
 from repro.checkpoint.coordinated import GlobalCheckpoint
 from repro.checkpoint.recovery import estimated_restore_time
 from repro.checkpoint.snapshot import Checkpoint
-from repro.cluster.experiment import ExperimentConfig
+from repro.cluster.experiment import ExperimentConfig, _assemble
 from repro.errors import FaultPlanError, RecoveryError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.instrument import InstrumentationLibrary, TraceLog, TrackerConfig
-from repro.mem import Layout
+from repro.instrument import TraceLog
 from repro.metrics.failures import (CorruptionDetected, FailureRecord,
                                     FaultRunMetrics)
-from repro.mpi import MPIJob
 from repro.obs.publish import publish_run
 from repro.sim import Engine
 from repro.storage import ChainVerification, CheckpointStore
@@ -160,59 +156,37 @@ class FailureRecoveryDriver:
         self._corruptions_seen = 0
 
         while True:
-            life = self._run_life(result, t_now, progress_before, decision)
+            life, injector, complete = self._run_life(
+                result, t_now, progress_before, decision)
             result.lives.append(life)
-            if life is not None and self._life_complete:
+            if complete:
                 result.final_time = life.t_end
                 return result
             if len(result.failures) >= self.max_failures:
                 raise RecoveryError(
                     f"gave up after {self.max_failures} failures")
             record, t_now, progress_before, decision = \
-                self._recover(result, life)
+                self._recover(result, life, injector)
             result.failures.append(record)
 
     # -- one life -----------------------------------------------------------
 
     def _run_life(self, result: FaultRunResult, t_start: float,
                   progress_before: float,
-                  decision: Optional[tuple[int, int, dict]]) -> LifeResult:
+                  decision: Optional[tuple[int, int, dict]]
+                  ) -> tuple[LifeResult, FaultInjector, bool]:
         """Run one life; ``decision`` is the recovery it resumes from
-        (see :meth:`_recovery_target`), None for a fresh start."""
+        (see :meth:`_recovery_target`), None for a fresh start.  Returns
+        the life, its injector (which :meth:`_recover` reads the failure
+        from) and whether the job completed."""
         config = self.config
         restored_from = None if decision is None else decision[:2]
         engine = Engine(start_time=t_start, obs=self.obs)
-        layout = Layout(page_size=config.page_size)
-        remaining = max(0.0, self.total_duration - progress_before)
-        app = ScientificApplication(config.spec, run_duration=remaining,
-                                    charge_overhead=config.charge_overhead,
-                                    layout=layout)
         index = len(result.lives)
-        if restored_from is None:
-            job = MPIJob(engine, config.nranks, layout=layout,
-                         procs_per_node=config.procs_per_node,
-                         process_factory=app.process_factory(engine),
-                         name=config.spec.name)
-        else:
-            coordinator = RestartCoordinator(app, decision[2])
-            job = coordinator.restart(engine,
-                                      procs_per_node=config.procs_per_node,
-                                      name=f"{config.spec.name}.life{index}")
-        library = InstrumentationLibrary(
-            TrackerConfig(timeslice=config.timeslice,
-                          fault_cost=config.fault_cost,
-                          reprotect_cost_per_page=config.reprotect_cost_per_page,
-                          protect_on_map=config.protect_on_map,
-                          intercept_receives=config.intercept_receives),
-            app_name=config.spec.name).install(job)
-        if not config.intercept_receives:
-            for nic in job.nics:
-                nic.strict_dma = False
-        ckpt = CheckpointEngine(job, library,
-                                interval_slices=config.ckpt_interval_slices,
-                                full_every=config.ckpt_full_every,
-                                transport=config.ckpt_transport,
-                                block_size=config.ckpt_block_size)
+        built = _assemble(
+            config, engine, max(0.0, self.total_duration - progress_before),
+            None if decision is None else decision[2], restorable=True)
+        job, library, ckpt = built.job, built.library, built.ckpt
 
         life = LifeResult(index=index, t_start=t_start, t_end=t_start,
                           logs={}, store=ckpt.store, committed=[],
@@ -234,11 +208,7 @@ class FailureRecoveryDriver:
 
         job.fini_hooks.append(on_fini)
 
-        if restored_from is None:
-            procs = job.launch(app.make_body())
-        else:
-            procs = coordinator.launch(job)
-
+        procs = built.launch()
         self._drive(engine, injector, procs)
         for p in procs:
             if p.exception is not None:
@@ -249,8 +219,8 @@ class FailureRecoveryDriver:
         life.committed = ckpt.committed()
         life.write_failures = list(ckpt.write_failures)
         life.transport_stats = ckpt.transport_stats()
-        if app.contexts:
-            rc0 = app.contexts[0]
+        if built.app.contexts:
+            rc0 = built.app.contexts[0]
             life.iterations = rc0.iterations
             if rc0.iteration_starts:
                 life.iteration_start = rc0.iteration_starts[0]
@@ -270,9 +240,7 @@ class FailureRecoveryDriver:
                                                else list(restored_from)),
                                 committed=len(life.committed),
                                 iterations=life.iterations)
-        self._life_complete = not self._needs_recovery(injector, procs)
-        self._life_injector = injector
-        return life
+        return life, injector, not self._needs_recovery(injector, procs)
 
     def _drive(self, engine: Engine, injector: FaultInjector,
                procs: list) -> None:
@@ -296,9 +264,9 @@ class FailureRecoveryDriver:
 
     # -- recovery -----------------------------------------------------------
 
-    def _recover(self, result: FaultRunResult, life: LifeResult):
+    def _recover(self, result: FaultRunResult, life: LifeResult,
+                 injector: FaultInjector):
         """Account one failure and decide where the next life starts."""
-        injector = self._life_injector
         t_fail = injector.delivered[-1].time if injector.delivered else life.t_end
         kind = next((e.kind.value for e in reversed(injector.delivered)
                      if e.kind.fatal), "crash")

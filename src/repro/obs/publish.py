@@ -118,7 +118,7 @@ def _publish_checkpoint(metrics, ckpt) -> None:
     # an array counts its member disks; diskless sinks (buddy memory,
     # not storage) have none
     disks = []
-    for sink in map(ckpt.disk, range(ckpt.job.nranks)):
+    for sink in ckpt.sinks():
         if isinstance(sink, Disk):
             disks.append(sink)
         elif isinstance(sink, StorageArray):

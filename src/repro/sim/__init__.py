@@ -20,7 +20,7 @@ experiment is exactly reproducible.
 """
 
 from repro.sim.engine import Engine, Event, PRIORITY_TIMER, PRIORITY_NORMAL, PRIORITY_LATE
-from repro.sim.process import Future, SimProcess, Timeout, all_of
+from repro.sim.process import Future, SimProcess, Timeout
 from repro.sim.random import RngStreams
 from repro.sim.timers import IntervalTimer, TimerHub
 
@@ -36,5 +36,4 @@ __all__ = [
     "RngStreams",
     "SimProcess",
     "Timeout",
-    "all_of",
 ]

@@ -152,8 +152,8 @@ class Engine:
         profiler = self.obs.profiler
         if profiler is not None:
             profiler.attach(self)
-        # lifetime stats (reset with reset_stats(), never by run():
-        # the fault driver resumes stopped runs and counts must span them)
+        # lifetime stats (never reset by run(): the fault driver
+        # resumes stopped runs and counts must span them)
         self._n_dispatched = 0
         self._n_cancelled_total = 0
         self._n_compactions = 0
@@ -438,9 +438,9 @@ class Engine:
         cancelled, heap compactions, and the live pending count.
 
         Counters accumulate across :meth:`run` calls -- including the
-        ``stop()``/resume seam the fault driver uses -- and are zeroed
-        only by :meth:`reset_stats`, so one logical run reports exact
-        totals however many times its clock was paused.
+        ``stop()``/resume seam the fault driver uses -- so one logical
+        run reports exact totals however many times its clock was
+        paused.
         """
         return {
             "dispatched": self._n_dispatched,
@@ -448,16 +448,6 @@ class Engine:
             "compactions": self._n_compactions,
             "pending": self.pending_events(),
         }
-
-    def reset_stats(self) -> None:
-        """Zero the lifetime counters (between logical runs that reuse
-        one engine).  Heap bookkeeping -- the live cancelled-entry count
-        behind :meth:`pending_events` -- is *not* touched: it reflects
-        queue state, not history, and resetting it would corrupt
-        compaction accounting."""
-        self._n_dispatched = 0
-        self._n_cancelled_total = 0
-        self._n_compactions = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self._now:.6f} pending={self.pending_events()}>"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import traceback
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProcessStateError
 from repro.sim.engine import Engine, Event, PRIORITY_NORMAL
@@ -218,25 +218,3 @@ class SimProcess:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimProcess {self.name!r} {self.state.value}>"
 
-
-def all_of(engine: Engine, futures: Iterable[Future], label: str = "all_of") -> Future:
-    """A Future that resolves (with a list of values) when all inputs have."""
-    futures = list(futures)
-    out = Future(engine, label=label)
-    remaining = [len(futures)]
-    values: list[Any] = [None] * len(futures)
-    if not futures:
-        out.resolve([])
-        return out
-
-    def make_cb(i: int) -> Callable[[Any], None]:
-        def cb(value: Any) -> None:
-            values[i] = value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                out.resolve(list(values))
-        return cb
-
-    for i, fut in enumerate(futures):
-        fut.add_callback(make_cb(i))
-    return out

@@ -42,10 +42,5 @@ class RngStreams:
             self._cache[name] = gen
         return gen
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for ``name`` (not cached), always in
-        its initial state.  Useful for replay/verification."""
-        return np.random.default_rng(self._derive(name))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStreams seed={self.seed} cached={len(self._cache)}>"

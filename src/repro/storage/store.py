@@ -291,7 +291,9 @@ class CheckpointStore:
 
     def truncate(self, rank: int, before_seq: int) -> int:
         """Drop pieces with ``seq < before_seq`` (after a new full
-        checkpoint makes them unreachable).  Returns bytes reclaimed."""
+        checkpoint makes them unreachable), and the commit markers below
+        ``before_seq``: such a sequence is no longer a restorable cut.
+        Returns bytes reclaimed."""
         self._check_rank(rank)
         chain = self._chains[rank]
         keep = [o for o in chain if o.seq >= before_seq]
@@ -301,6 +303,7 @@ class CheckpointStore:
                 f"pieces for rank {rank}")
         reclaimed = sum(o.nbytes for o in chain) - sum(o.nbytes for o in keep)
         self._chains[rank] = keep
+        self._committed = [s for s in self._committed if s >= before_seq]
         return reclaimed
 
     # -- accounting ---------------------------------------------------------------

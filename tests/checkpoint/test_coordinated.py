@@ -285,3 +285,31 @@ def test_array_sinks_publish_their_member_disks_bytes():
                   for d in ckpt.disk(r).disks)
     assert written > 0
     assert reg.snapshot()["storage.bytes_written"]["value"] == written
+
+
+def test_a_sink_shared_by_two_ranks_is_counted_once():
+    """Two ranks on one node disk (the layout of
+    test_shared_node_disk_serializes_commits): the engine's total and
+    the published storage bytes are what that one disk wrote."""
+    from repro.obs import MetricsRegistry
+    from repro.obs.publish import publish_run
+
+    spec = small_spec(period=1.0, footprint_mb=8, main_mb=4)
+    eng = Engine()
+    app = SyntheticApp(spec, n_iterations=4)
+    job = MPIJob(eng, 2, process_factory=app.process_factory(eng))
+    lib = InstrumentationLibrary(TrackerConfig(timeslice=0.5)).install(job)
+    node_disk = Disk(eng, name="node0")
+    ckpt = CheckpointEngine(job, lib, interval_slices=2,
+                            storage_factory=lambda rank: node_disk)
+    job.launch(app.make_body())
+    eng.run(detect_deadlock=True)
+    assert node_disk.bytes_written > 0
+    assert ckpt.bytes_to_storage() == node_disk.bytes_written
+    reg = MetricsRegistry()
+    publish_run(reg, engine=eng, job=job, library=lib, ckpt=ckpt)
+    snap = reg.snapshot()
+    assert snap["storage.bytes_written"]["value"] == node_disk.bytes_written
+    assert (snap["storage.node0.bytes_written"]["value"]
+            == node_disk.bytes_written)
+    assert ckpt.sinks() == [node_disk]

@@ -115,6 +115,26 @@ def test_baseline_run_shares_the_five_timeslice_floor():
     assert instrumented.slowdown_vs(baseline) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("cfg, final_time, iterations", [
+    (tiny_config(spec=small_spec(period=1.0, footprint_mb=8, main_mb=4,
+                                 passes=2.0),
+                 run_duration=5.0, charge_overhead=True, fault_cost=100e-6),
+     5.1450015, 5),
+    (tiny_config(timeslice=1.0, run_duration=0.5), 5.0825015, 5),
+    (paper_config("lu", nranks=2, timeslice=0.5, run_duration=8.0,
+                  charge_overhead=True), 8.50003770345052, 12),
+])
+def test_baseline_run_is_pinned(cfg, final_time, iterations):
+    # the uninstrumented baseline shares run_experiment's assembly minus
+    # the library; with nothing to charge, charge_overhead changes
+    # nothing, and the clock ends where it always has
+    baseline = run_uninstrumented(cfg)
+    assert baseline.final_time == final_time
+    assert baseline.iterations == iterations
+    assert baseline.logs == {} and baseline.library is None
+    assert baseline.ckpt is None
+
+
 def test_non_positive_run_duration_rejected():
     for bad in (0.0, -5.0):
         with pytest.raises(ConfigurationError):

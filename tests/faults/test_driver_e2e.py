@@ -156,17 +156,23 @@ def test_experiment_entry_point_is_the_driver():
     assert via_experiment.final_time == direct.final_time
 
 
-def test_fault_run_checkpoints_as_the_config_says():
+@pytest.mark.parametrize("transport", ["estimate", "network", "diskless"])
+def test_fault_run_checkpoints_as_the_config_says(transport):
     # the config's ckpt_* fields, not driver defaults, set each life's
-    # checkpointing: a capture every slice, one full, network frames
-    config = CONFIG.scaled(ckpt_transport="network", ckpt_interval_slices=1,
+    # checkpointing (a capture every slice, a full every 8th), and life 0
+    # of a fault-free run is built exactly as run_experiment builds it
+    config = CONFIG.scaled(ckpt_transport=transport, ckpt_interval_slices=1,
                            ckpt_full_every=8)
     res = run_with_failures(config, FaultPlan.none())
     ref = run_experiment(config)
     life = res.lives[0]
-    assert life.transport_stats.mode == "network"
-    assert life.transport_stats.frames == ref.transport_stats.frames > 0
+    assert life.transport_stats.mode == transport
+    for rank in range(config.nranks):
+        assert life.logs[rank].records == ref.logs[rank].records
+    assert life.transport_stats.frames == ref.transport_stats.frames
+    assert (life.transport_stats.frames > 0) == (transport != "estimate")
     assert len(life.committed) == ref.ckpt_commits > 8
+    assert life.committed == ref.ckpt.committed()
     assert [gc.kind for gc in life.committed[:9]] == (
         ["full"] + ["incremental"] * 7 + ["full"])
 

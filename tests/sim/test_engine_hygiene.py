@@ -129,37 +129,6 @@ def test_stats_accumulate_across_stop_and_resume():
     assert eng.stats()["dispatched"] == 2
 
 
-def test_reset_stats_zeroes_counters_but_not_heap_bookkeeping():
-    eng = Engine()
-    live = eng.schedule(1.0, int)
-    doomed = eng.schedule(2.0, int)
-    doomed.cancel()
-    eng.step()
-    assert eng.stats() == {"dispatched": 1, "cancelled": 1,
-                           "compactions": 0, "pending": 0}
-    eng.reset_stats()
-    stats = eng.stats()
-    assert stats["dispatched"] == 0
-    assert stats["cancelled"] == 0
-    assert stats["compactions"] == 0
-    # the live-heap corpse count is bookkeeping, not a statistic: the
-    # cancelled entry is still queued and pending_events must stay exact
-    assert eng.pending_events() == 0
-    assert not live.cancelled
-    assert eng.step() is False
-
-
-def test_reset_stats_between_runs_gives_clean_second_run():
-    eng = Engine()
-    eng.schedule(1.0, int)
-    eng.schedule(2.0, int)
-    eng.run()
-    eng.reset_stats()
-    eng.schedule(1.0, int)
-    eng.run()
-    assert eng.stats()["dispatched"] == 1
-
-
 def test_step_counts_toward_dispatched():
     eng = Engine()
     eng.schedule(1.0, int)

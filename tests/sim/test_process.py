@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProcessStateError
 from repro.sim import Engine, Future, SimProcess, Timeout
-from repro.sim.process import ProcessState, all_of
+from repro.sim.process import ProcessState
 
 
 def test_timeout_advances_clock():
@@ -199,31 +199,6 @@ def test_kill_while_waiting_on_future_ignores_later_resolution():
     eng.run()
     assert resumed == []
     assert p.state is ProcessState.KILLED
-
-
-def test_all_of_waits_for_every_future():
-    eng = Engine()
-    futs = [Future(eng) for _ in range(3)]
-    combined = all_of(eng, futs)
-    got = []
-
-    def body():
-        values = yield combined
-        got.append((eng.now, values))
-
-    SimProcess(eng, body())
-    eng.schedule(1.0, futs[1].resolve, "b")
-    eng.schedule(2.0, futs[0].resolve, "a")
-    eng.schedule(3.0, futs[2].resolve, "c")
-    eng.run()
-    assert got == [(3.0, ["a", "b", "c"])]
-
-
-def test_all_of_empty_resolves_immediately():
-    eng = Engine()
-    combined = all_of(eng, [])
-    assert combined.resolved
-    assert combined.value == []
 
 
 def test_two_processes_interleave_deterministically():

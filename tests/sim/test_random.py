@@ -34,14 +34,6 @@ def test_stream_is_cached_and_stateful():
     assert not np.array_equal(first, second)  # state advanced
 
 
-def test_fresh_restarts_from_initial_state():
-    s = RngStreams(0)
-    initial = s.fresh("x").random(4)
-    s.stream("x").random(100)  # advance the cached stream
-    again = s.fresh("x").random(4)
-    assert np.array_equal(initial, again)
-
-
 def test_adding_new_stream_does_not_perturb_existing():
     s1 = RngStreams(5)
     draw_before = s1.stream("existing").random(8)

@@ -110,6 +110,24 @@ def test_truncate_reclaims_bytes():
     assert [o.seq for o in store.pieces(0)] == [2, 3]
 
 
+def test_truncate_drops_commit_markers_below_the_boundary():
+    """A sequence whose pieces were collected is no longer a restorable
+    cut, so its commit marker goes with them."""
+    store = CheckpointStore(2)
+    for seq, kind in ((0, "full"), (1, "incremental"), (2, "full")):
+        for rank in range(2):
+            store.put(rank, seq, kind, 10)
+        store.mark_committed(seq)
+    for rank in range(2):
+        store.truncate(rank, before_seq=2)
+    assert store.committed_sequences() == [2]
+    assert store.latest_committed() == 2
+    store.put(0, 3, "incremental", 10)
+    store.put(1, 3, "incremental", 10)
+    store.mark_committed(3)
+    assert store.committed_sequences() == [2, 3]
+
+
 def test_truncate_cannot_orphan_incrementals():
     store = CheckpointStore(1)
     store.put(0, 0, "full", 100)

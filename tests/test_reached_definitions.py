@@ -65,18 +65,10 @@ KEEP = {
         "Young/Daly efficiency samples (exported availability model)",
     "repro.metrics.stats:mean_omitting_first":
         "section 5's drop-the-first-run averaging (exported)",
-    "repro.sim.process:all_of":
-        "join of futures, an exported simulation primitive",
-    "repro.sim.engine:Engine.reset_stats":
-        "zeroes lifetime counters of an engine reused across runs",
-    "repro.sim.random:RngStreams.fresh":
-        "an uncached stream in its initial state, for replay",
     "repro.proc.process:Process.mprotect":
         "mprotect of one page range, the syscall model's own entry",
     "repro.checkpoint.cow:CowWriteout.active":
         "whether a copy-on-write writeout is still draining",
-    "repro.checkpoint.uncoordinated:MessageLogger.before":
-        "the message log up to a time, the logger's query",
 }
 
 
