@@ -50,10 +50,14 @@ class Region:
         #: logical start offset of each extent plus a final total -- the
         #: touch path bisects into this instead of walking every extent
         offsets = [0]
+        nbytes = 0
         for e in self.extents:
             offsets.append(offsets[-1] + e.npages)
+            nbytes += e.npages * e.segment.page_size
         self._offsets = offsets
         self.npages = offsets[-1]
+        #: bytes the extents cover (the halo loop reads this per receive)
+        self.nbytes = nbytes
 
     # -- constructors ---------------------------------------------------------------
 
@@ -73,10 +77,6 @@ class Region:
         return cls(name, extents)
 
     # -- geometry --------------------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        return sum(e.npages * e.segment.page_size for e in self.extents)
 
     def base_addr(self) -> int:
         """Address of the first byte of the first extent (for receives)."""

@@ -61,10 +61,6 @@ class ResultCache:
     def _entry_dir(self, key: str) -> Path:
         return self.root / key[:2] / key[2:]
 
-    def contains(self, config) -> bool:
-        """Whether a (possibly stale-format) entry exists for ``config``."""
-        return (self._entry_dir(self.key_for(config)) / _META_NAME).exists()
-
     # -- read -----------------------------------------------------------------
 
     def get(self, config):

@@ -11,6 +11,7 @@ listeners (the dirty-page tracker) which do the accounting.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from hashlib import sha256
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -72,8 +73,13 @@ class AddressSpace:
         self.stack = Segment(SegmentKind.STACK, self.layout.stack_top - stack_size,
                              stack_size, ps)
 
+        #: the segments fixed for the life of the space, in lookup order
+        self._fixed = (self.text, self.data, self.bss, self.heap, self.stack)
         #: mmap'ed segments, keyed by base address
         self._mmaps: dict[int, Segment] = {}
+        #: sorted mmap bases -- the lookup index :meth:`find_segment`
+        #: bisects; rebuilt after any mmap/munmap
+        self._mmap_bases: Optional[list[int]] = None
         self._mmap_cursor = self.layout.mmap_base
         #: region arena: fully-unmapped segments parked by page count for
         #: reuse by the next same-size mmap (the per-iteration temp-region
@@ -149,6 +155,7 @@ class AddressSpace:
 
     def _invalidate_caches(self) -> None:
         self._data_cache = None
+        self._mmap_bases = None
         self._last_seg = None
         self._data_totals = None
         self._digest_order = None
@@ -170,12 +177,27 @@ class AddressSpace:
         return [self._mmaps[b] for b in sorted(self._mmaps)]
 
     def find_segment(self, addr: int) -> Optional[Segment]:
-        """The segment containing ``addr``, or None if unmapped."""
+        """The segment containing ``addr``, or None if unmapped.
+
+        Checks the last segment hit, then the fixed segments, then
+        bisects the sorted mmap bases: mappings never overlap, so the
+        only candidate is the one with the greatest base at or below
+        ``addr``."""
         last = self._last_seg
-        if last is not None and last.contains(addr):
+        if (last is not None and last.base <= addr
+                < last.base + last.pages.npages * last.page_size):
             return last
-        for seg in self.segments():
-            if seg.contains(addr):
+        for seg in self._fixed:
+            if seg.base <= addr < seg.base + seg.pages.npages * seg.page_size:
+                self._last_seg = seg
+                return seg
+        bases = self._mmap_bases
+        if bases is None:
+            bases = self._mmap_bases = sorted(self._mmaps)
+        i = bisect_right(bases, addr) - 1
+        if i >= 0:
+            seg = self._mmaps[bases[i]]
+            if addr < seg.base + seg.pages.npages * seg.page_size:
                 self._last_seg = seg
                 return seg
         return None
@@ -253,19 +275,24 @@ class AddressSpace:
         self._version += 1
         return self._version
 
-    def _resolve(self, addr: int, size: int) -> Segment:
+    def _resolve(self, addr: int, size: int) -> tuple[Segment, int, int]:
+        """The segment a store to ``[addr, addr+size)`` lands in, plus
+        the page range ``[lo, hi)`` it covers there."""
         seg = self.find_segment(addr)
         if seg is None:
             raise SegmentationFault(addr)
-        if addr + size > seg.end:
+        if size <= 0:
+            raise MappingError(f"non-positive access size {size}")
+        ps = seg.page_size
+        off = addr - seg.base
+        if off + size > seg.pages.npages * ps:
             raise SegmentationFault(seg.end, f"store of {size} bytes at "
                                     f"{addr:#x} runs past segment {seg.name!r}")
-        return seg
+        return seg, off // ps, (off + size - 1) // ps + 1
 
     def cpu_write(self, addr: int, size: int) -> WriteResult:
         """A CPU store to ``[addr, addr+size)``; takes the faulting path."""
-        seg = self._resolve(addr, size)
-        lo, hi = seg.page_range(addr, size)
+        seg, lo, hi = self._resolve(addr, size)
         off = addr - seg.base
         return self.cpu_write_pages(seg, lo, hi, _byte_span=(off, off + size))
 
@@ -306,8 +333,7 @@ class AddressSpace:
 
     def dma_write(self, addr: int, size: int) -> WriteResult:
         """A device store (NIC DMA): bypasses protection and dirty tracking."""
-        seg = self._resolve(addr, size)
-        lo, hi = seg.page_range(addr, size)
+        seg, lo, hi = self._resolve(addr, size)
         version = self._next_version()
         missed = seg.pages.dma_write(lo, hi, version)
         blocks = seg.blocks

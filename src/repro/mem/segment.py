@@ -95,10 +95,6 @@ class Segment:
     def npages(self) -> int:
         return self.pages.npages
 
-    def contains(self, addr: int) -> bool:
-        """True when ``addr`` lies inside the mapping."""
-        return self.base <= addr < self.end
-
     def overlaps(self, base: int, size: int) -> bool:
         """True when ``[base, base+size)`` intersects this mapping."""
         return base < self.end and self.base < base + size

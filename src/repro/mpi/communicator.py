@@ -41,7 +41,7 @@ ANY_SOURCE: int = -1
 ANY_TAG: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """A receive waiting for a matching message."""
 
@@ -52,6 +52,19 @@ class PostedRecv:
     future: Future = field(repr=False)
     #: post-order stamp; ties across match classes resolve to the oldest
     seq: int = 0
+
+
+def _finish_recv(item: tuple["RankComm", Future, Message]) -> None:
+    """Complete one bounce-buffer receive once its copy time has passed:
+    run the rank's receive listeners, then resolve the receive.
+
+    Module-level so its identity is stable: completions due at the same
+    instant share one coalesced engine event
+    (:meth:`repro.sim.Engine.schedule_coalesced`)."""
+    comm, future, msg = item
+    for listener in comm.receive_listeners:
+        listener(msg)
+    future.resolve(msg)
 
 
 class World:
@@ -270,16 +283,13 @@ class RankComm:
             result = self.nic.deposit(posted.addr, msg.size, intercept=intercept)
             copy_time = result.copy_time
         self.bytes_received += msg.size
-
-        def finish() -> None:
-            for listener in self.receive_listeners:
-                listener(msg)
-            posted.future.resolve(msg)
-
+        item = (self, posted.future, msg)
         if copy_time > 0:
-            self.engine.schedule(copy_time, finish)
+            engine = self.world.engine
+            engine.schedule_coalesced(engine.now + copy_time, _finish_recv,
+                                      item)
         else:
-            finish()
+            _finish_recv(item)
 
     # -- collective helpers (yield from these inside rank bodies) ------------------------
 

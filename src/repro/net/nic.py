@@ -17,8 +17,7 @@ written in the timeslice (at the cost of an extra memory copy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import NetworkError
 from repro.mem import WriteResult
@@ -28,9 +27,9 @@ from repro.proc.process import Process
 from repro.units import GiB
 
 
-@dataclass(frozen=True)
-class DepositResult:
-    """Outcome of landing a message payload in user memory."""
+class DepositResult(NamedTuple):
+    """Outcome of landing a message payload in user memory.  (A
+    NamedTuple: one is built per received message.)"""
 
     write: WriteResult
     copy_time: float      #: CPU time spent on the bounce-buffer copy (s)

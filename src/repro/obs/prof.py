@@ -60,7 +60,7 @@ _QUALNAME_KINDS = {
     "Engine._run_batch": ("sim", "batch.dispatch", "run_batch"),
     "TimerHub._fire_group": ("sim", "timer.epoch", None),
     "Network._deliver": ("net", "message.delivery", "msg_dst"),
-    "RankComm._complete.<locals>.finish": ("mpi", "message.copy", None),
+    "_finish_recv": ("mpi", "message.copy", None),
     "FaultInjector._deliver": ("faults", "fault.delivery", None),
     "_FramedTransport._pump": ("checkpoint", "transport.frame", None),
     "_FramedTransport._piece_durable": ("storage", "sink.write",

@@ -28,7 +28,7 @@ def test_miss_then_hit_round_trip(tmp_path, small_config, small_result):
     assert cache.get(small_config) is None
     assert cache.misses == 1
     cache.put(small_config, small_result)
-    assert cache.contains(small_config)
+    assert cache.entries() == [cache.key_for(small_config)]
     restored = cache.get(small_config)
     assert cache.hits == 1
     assert restored is not None
@@ -61,8 +61,8 @@ def test_clear_drops_every_entry(tmp_path, small_config, small_result):
     cache = ResultCache(tmp_path / "cache")
     cache.put(small_config, small_result)
     cache.clear()
-    assert not cache.contains(small_config)
     assert cache.entries() == []
+    assert cache.get(small_config) is None
 
 
 def test_corrupt_entry_is_a_miss_and_removed(tmp_path, small_config,
@@ -93,4 +93,4 @@ def test_put_is_idempotent(tmp_path, small_config, small_result):
     cache = ResultCache(tmp_path / "cache")
     cache.put(small_config, small_result)
     cache.put(small_config, small_result)  # no error, no duplicate
-    assert len(cache.entries()) == 1
+    assert cache.entries() == [cache.key_for(small_config)]

@@ -14,10 +14,12 @@ def test_segment_geometry():
     assert seg.size == 4 * PS
     assert seg.end == 14 * PS
     assert seg.npages == 4
-    assert seg.contains(10 * PS)
-    assert seg.contains(14 * PS - 1)
-    assert not seg.contains(14 * PS)
-    assert not seg.contains(10 * PS - 1)
+    assert seg.page_range(10 * PS, 4 * PS) == (0, 4)
+    assert seg.page_range(14 * PS - 1, 1) == (3, 4)
+    with pytest.raises(MappingError):
+        seg.page_range(14 * PS, 1)
+    with pytest.raises(MappingError):
+        seg.page_range(10 * PS - 1, 1)
 
 
 def test_segment_alignment_enforced():

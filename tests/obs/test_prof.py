@@ -6,6 +6,8 @@ import pytest
 
 from repro.cluster.experiment import paper_config, run_experiment
 from repro.errors import ObservabilityError
+from repro.mpi.communicator import _finish_recv
+from repro.net import NIC
 from repro.obs import EngineProfiler, Observability, load_profile, \
     render_profile
 from repro.obs.prof import _classify_future, _rank_from_name
@@ -225,3 +227,49 @@ def test_fig5_64rank_profile_attributes_95_percent():
     # the categories' self times are what the coverage is made of
     total_self = sum(c["self_s"] for c in profile["categories"])
     assert total_self == pytest.approx(profile["wall_attributed_s"])
+
+
+class _CopyCountingProfiler(EngineProfiler):
+    """A profiler that also counts the ``_finish_recv`` engine events it
+    sees and the copy completions they carry."""
+
+    def __init__(self):
+        super().__init__()
+        self.copy_events = 0
+        self.copies = 0
+
+    def _on_event(self, ev):
+        if ev.args and ev.args[0] is _finish_recv:
+            self.copy_events += 1
+            self.copies += len(ev.args[1])
+        super()._on_event(ev)
+
+
+def test_copy_completions_profile_as_message_copy(monkeypatch):
+    """Every bounce-buffer copy completion is filed under
+    ``mpi``/``message.copy``, whose count is one per engine event like
+    every other bucket's; the events carry exactly the intercepted
+    deposits."""
+    intercepted = []
+    deposit = NIC.deposit
+
+    def counting_deposit(self, addr, size, *, intercept):
+        result = deposit(self, addr, size, intercept=intercept)
+        if result.intercepted:
+            intercepted.append(size)
+        return result
+
+    monkeypatch.setattr(NIC, "deposit", counting_deposit)
+    prof = _CopyCountingProfiler()
+    config = paper_config("sage-50MB", nranks=8, timeslice=1.0,
+                          run_duration=40.0)
+    run_experiment(config, obs=Observability(profiler=prof))
+    profile = prof.profile()
+    copy = [c for c in profile["categories"]
+            if (c["subsystem"], c["kind"]) == ("mpi", "message.copy")]
+    assert len(copy) == 1
+    assert copy[0]["count"] == prof.copy_events > 0
+    assert prof.copies == len(intercepted)
+    # completions at one instant share an event
+    assert prof.copy_events < prof.copies
+    assert not any("finish" in c["kind"] for c in profile["categories"])

@@ -23,7 +23,7 @@ def test_small_allocation_goes_on_heap():
     alloc, proc = make_alloc()
     block = alloc.malloc(1024)
     assert not block.via_mmap
-    assert proc.memory.heap.contains(block.addr)
+    assert proc.memory.find_segment(block.addr) is proc.memory.heap
 
 
 def test_large_allocation_uses_mmap_in_f90():

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.experiment
 from repro.cluster.experiment import paper_config, run_experiment
+from repro.mpi.communicator import _finish_recv
 from repro.net import Message, Network
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.sim import Engine, Future, SimProcess, PRIORITY_LATE
@@ -206,3 +208,47 @@ def test_reference_engine_dispatches_per_item(monkeypatch):
     batched = new_obs.metrics.gauge("sim.engine.dispatched").value
     per_item = ref_obs.metrics.gauge("sim.engine.dispatched").value
     assert per_item > batched > 0
+
+
+def _count_copy_completions(monkeypatch, engine_cls, config):
+    """Run ``config`` on ``engine_cls``; returns the result and the
+    ``(events, items)`` of its bounce-buffer copy completions."""
+    counts = [0, 0]
+
+    def hook(ev):
+        if ev.fn is _finish_recv:                      # one per item
+            counts[0] += 1
+            counts[1] += 1
+        elif ev.args and ev.args[0] is _finish_recv:   # a shared batch
+            counts[0] += 1
+            counts[1] += len(ev.args[1])
+
+    class Counting(engine_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.add_event_hook(hook)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.cluster.experiment, "Engine", Counting)
+        result = repro.cluster.experiment.run_experiment(config)
+    return result, tuple(counts)
+
+
+def test_receive_completions_really_coalesce(monkeypatch):
+    """Intercepted receives complete through coalesced ``_finish_recv``
+    batches: fewer events than completions on the production engine,
+    one event per completion on the per-item reference, and the same
+    records.  Without this guard the differentials above could compare
+    a completion path that never coalesces with itself."""
+    cfg = paper_config("sage-50MB", nranks=8, timeslice=1.0,
+                       run_duration=10.0)
+    assert cfg.intercept_receives
+    new, (new_events, new_items) = _count_copy_completions(
+        monkeypatch, Engine, cfg)
+    ref, (ref_events, ref_items) = _count_copy_completions(
+        monkeypatch, PerItemEngine, cfg)
+    assert new_items == ref_items > 0
+    assert ref_events == ref_items
+    assert new_events < new_items
+    for rank in range(8):
+        assert new.logs[rank].records == ref.logs[rank].records

@@ -17,6 +17,7 @@ from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.cli import main
 from repro.storage import CheckpointStore
 from repro.errors import StorageError
+from repro.storage import archive
 from repro.storage.archive import (MAGIC, _decode_payload, _frame,
                                    save_store, scan_store)
 
@@ -187,3 +188,56 @@ def test_failed_save_leaves_previous_archive_intact(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def two_generation_store():
+    """2 ranks, fulls at seqs 1 and 3, deltas at 2 and 4, all committed."""
+    store = CheckpointStore(2)
+    for rank in range(2):
+        for seq, kind in ((1, "full"), (2, "incremental"), (3, "full"),
+                          (4, "incremental")):
+            ckpt = Checkpoint(
+                seq=seq, kind=kind, taken_at=float(seq), page_size=PAGE,
+                geometry=(SegmentRecord(sid=1, kind="data", base=0,
+                                        npages=1),),
+                payloads=(Payload(sid=1, indices=np.zeros(1, np.int64),
+                                  versions=np.full(1, seq, np.uint64)),))
+            store.put(rank, seq, kind, ckpt.nbytes, payload=ckpt)
+            if rank == 1:
+                store.mark_committed(seq)
+    return store
+
+
+def test_scan_verifies_every_committed_sequence(tmp_path, monkeypatch):
+    """An older committed sequence whose piece is gone is a broken chain
+    even though the newest one restores intact; each rank's chain
+    verification hashes each piece at most once."""
+    store = two_generation_store()
+    store.drop_piece(0, 2)
+    path = save_store(store, tmp_path / "store.rckpt")
+    verified = []
+    verify = archive.verify_chain
+
+    def counting_verify(rank, chain, *args, **kwargs):
+        verified.extend((rank, obj.seq) for obj in chain)
+        return verify(rank, chain, *args, **kwargs)
+
+    monkeypatch.setattr(archive, "verify_chain", counting_verify)
+    report = scan_must_report(path)
+    assert not report.ok and report.n_corrupt == 0
+    assert report.chain_problems == (
+        "rank 0: seq 2 missing-target; intact prefix ends at seq 1",)
+    assert len(verified) == len(set(verified)) == 7
+
+
+def test_scan_reports_a_lost_older_full_once_per_sequence(tmp_path):
+    store = two_generation_store()
+    store.drop_piece(1, 1)
+    path = save_store(store, tmp_path / "store.rckpt")
+    report = scan_must_report(path)
+    assert report.chain_problems == (
+        "rank 1: seq 1 missing-base; intact prefix ends at nothing",
+        "rank 1: seq 2 missing-base; intact prefix ends at nothing")
+    store = two_generation_store()
+    path = save_store(store, tmp_path / "clean.rckpt")
+    assert scan_must_report(path).ok
