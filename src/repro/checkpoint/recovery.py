@@ -114,9 +114,9 @@ def apply_chain(memory: AddressSpace, chain: Sequence[Checkpoint],
 
     A strict overlay is then checked: when the chain head recorded the
     captured space's state digest, the restored space must reproduce
-    it, or :class:`~repro.errors.RecoveryError` is raised -- a silently
-    corrupted piece restored without integrity verification is caught
-    here, before anything runs on it.
+    it, or :class:`~repro.errors.RecoveryError` is raised -- a chain
+    whose pieces do not rebuild the captured state is caught here,
+    before anything runs on it.
     """
     state = replay_chain(chain)
     _overlay(memory, chain[-1], state, strict)
@@ -179,8 +179,7 @@ def estimated_restore_time(chain: Sequence[Checkpoint],
     restart-time parameter.
 
     ``verify_bandwidth`` additionally charges one digest recomputation
-    pass over every byte read (integrity-checked restore); None keeps
-    the cost identical to an unverified read.
+    pass over every byte read; None leaves that pass unbilled.
     """
     if not chain:
         raise RecoveryError("empty checkpoint chain")
@@ -198,10 +197,10 @@ def estimated_restore_time(chain: Sequence[Checkpoint],
 class RecoveryManager:
     """Recovery over a :class:`~repro.storage.CheckpointStore`.
 
-    With ``verify_integrity`` (the default) every chain read recomputes
-    piece digests and chain links before a single byte is trusted: a
-    silently corrupted, truncated, or dropped piece raises
-    :class:`~repro.errors.CorruptionError` instead of restoring garbage.
+    Every chain read recomputes piece digests and chain links before a
+    single byte is trusted: a silently corrupted, truncated, or dropped
+    piece raises :class:`~repro.errors.CorruptionError` instead of
+    restoring garbage.
     Choosing *which* sequence to recover to is not its job: the
     corruption-aware walk-back belongs to
     :class:`~repro.faults.driver.FailureRecoveryDriver`, and
@@ -210,11 +209,9 @@ class RecoveryManager:
     """
 
     def __init__(self, store: CheckpointStore,
-                 layout: Optional[Layout] = None, *,
-                 verify_integrity: bool = True):
+                 layout: Optional[Layout] = None):
         self.store = store
         self.layout = layout
-        self.verify_integrity = verify_integrity
 
     def recovery_chain(self, rank: int,
                        seq: Optional[int] = None) -> list[Checkpoint]:
@@ -227,20 +224,19 @@ class RecoveryManager:
         pieces = self.store.chain(rank, upto_seq=seq)
         if not pieces:
             raise RecoveryError(f"rank {rank} has no recoverable chain")
-        if self.verify_integrity:
-            # the commit invariant guarantees a piece at every committed
-            # sequence, so a clean chain stopping short of one means the
-            # target piece was silently dropped
-            require = (seq if seq in self.store.committed_sequences()
-                       else None)
-            outcome = verify_chain(rank, pieces, target_seq=seq,
-                                   require_seq=require)
-            if not outcome.intact:
-                bad = outcome.first_bad
-                raise CorruptionError(
-                    f"rank {rank} cannot recover to seq {seq}: "
-                    f"piece seq {bad.seq} {bad.reason} (intact prefix ends "
-                    f"at {outcome.verified_upto})")
+        # the commit invariant guarantees a piece at every committed
+        # sequence, so a clean chain stopping short of one means the
+        # target piece was silently dropped
+        require = (seq if seq in self.store.committed_sequences()
+                   else None)
+        outcome = verify_chain(rank, pieces, target_seq=seq,
+                               require_seq=require)
+        if not outcome.intact:
+            bad = outcome.first_bad
+            raise CorruptionError(
+                f"rank {rank} cannot recover to seq {seq}: "
+                f"piece seq {bad.seq} {bad.reason} (intact prefix ends "
+                f"at {outcome.verified_upto})")
         chain = [p.payload for p in pieces]
         if any(c is None for c in chain):
             raise RecoveryError("stored pieces are missing checkpoint payloads")

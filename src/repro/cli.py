@@ -258,10 +258,6 @@ def _parser() -> argparse.ArgumentParser:
                            "flip, truncate, or drop; SEQ picks the "
                            "stored piece (default: newest at TIME); "
                            "repeatable")
-    frun.add_argument("--no-verify-integrity", action="store_true",
-                      help="trust checkpoint chains without digest "
-                           "verification (the pre-integrity behaviour: "
-                           "corruption restores garbage)")
     frun.add_argument("--integrity-bandwidth", type=_positive_float,
                       default=None, metavar="BPS",
                       help="charge digest recomputation at this "
@@ -579,7 +575,6 @@ def cmd_faults_run(args, out) -> int:
             config, plan, interval_slices=args.interval,
             full_every=args.full_every,
             detection_latency=args.detect_latency,
-            verify_integrity=not args.no_verify_integrity,
             integrity_bandwidth=args.integrity_bandwidth,
             ckpt_transport=args.ckpt_transport, obs=obs)
     except FaultPlanError as exc:

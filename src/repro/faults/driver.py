@@ -52,8 +52,8 @@ from repro.metrics.failures import (CorruptionDetected, FailureRecord,
                                     FaultRunMetrics)
 from repro.obs.publish import publish_run
 from repro.sim import Engine
-from repro.storage import ChainVerification, CheckpointStore
-from repro.storage.integrity import prefix_verification
+from repro.storage import CheckpointStore
+from repro.storage.store import verify_committed
 
 
 @dataclass
@@ -107,12 +107,15 @@ class FaultRunResult:
 
 
 class FailureRecoveryDriver:
-    """Drives one configuration through a fault plan, life by life."""
+    """Drives one configuration through a fault plan, life by life.
+
+    Every recovery trusts only committed checkpoints whose chains verify
+    on every rank (:meth:`_recovery_target`); restores read them at the
+    cluster's disk bandwidth.
+    """
 
     def __init__(self, config: ExperimentConfig, plan: FaultPlan, *,
                  detection_latency: float = 0.25,
-                 read_bandwidth: Optional[float] = None,
-                 verify_integrity: bool = True,
                  integrity_bandwidth: Optional[float] = None,
                  max_failures: int = 1000,
                  obs=None):
@@ -120,6 +123,8 @@ class FailureRecoveryDriver:
         plan.validate_for(config.nranks, config.ckpt_transport)
         if detection_latency < 0:
             raise FaultPlanError("detection latency must be >= 0")
+        if integrity_bandwidth is not None and not integrity_bandwidth > 0:
+            raise FaultPlanError("integrity bandwidth must be positive")
         if max_failures < 1:
             raise FaultPlanError("max_failures must be >= 1")
         #: its ckpt_* fields set every life's checkpointing (a None
@@ -127,14 +132,8 @@ class FailureRecoveryDriver:
         self.config = config
         self.plan = plan
         self.detection_latency = detection_latency
-        self.read_bandwidth = read_bandwidth
-        #: verify chain integrity before trusting a committed checkpoint
-        #: (off reproduces the pre-integrity driver: corruption restores
-        #: garbage and the restore's own state-digest check catches it)
-        self.verify_integrity = verify_integrity
         #: when set, charge digest recomputation at this bandwidth (B/s)
-        #: into restore time; None keeps restore costs bit-identical to
-        #: integrity-unaware runs
+        #: into restore time; None leaves verification unbilled
         self.integrity_bandwidth = integrity_bandwidth
         self.max_failures = max_failures
         #: observability sink threaded into every life's engine
@@ -285,11 +284,10 @@ class FailureRecoveryDriver:
             progress_restored = 0.0
         else:
             recovery_life, recovered_seq, chains = target
-            bw = (self.read_bandwidth if self.read_bandwidth is not None
-                  else self.config.cluster.disk.bandwidth)
             restore_time = max(
                 estimated_restore_time(
-                    chain, bw, verify_bandwidth=self.integrity_bandwidth)
+                    chain, self.config.cluster.disk.bandwidth,
+                    verify_bandwidth=self.integrity_bandwidth)
                 for chain in chains.values())
             served = result.lives[recovery_life]
             progress_restored = self._progress_at(
@@ -321,60 +319,37 @@ class FailureRecoveryDriver:
         ``chains[rank]`` holds the checkpoints that rank restores from,
         the payloads of exactly the pieces verified here.
 
-        With ``verify_integrity`` every candidate is scanned rank by
-        rank before recovery trusts it; a corrupted, truncated, or
+        Candidates are tried newest first, every rank's chain verified
+        through :func:`~repro.storage.store.verify_committed`, one walk
+        per rank advanced in lockstep.  A corrupted, truncated, or
         dropped piece rejects the whole committed sequence (a
         :class:`~repro.metrics.failures.CorruptionDetected` record per
         bad chain) and the search walks back to the next older one --
         across lives if need be.  Nothing intact anywhere means a
         from-scratch restart, never a restore from corrupt data.
-        Without it the newest committed sequence is taken, its chains
-        as the store holds them.
         """
         for life in reversed(result.lives):
-            # (rank, full head seq) -> verification of the newest
-            # candidate whose chain that full heads
-            heads: dict[tuple[int, Optional[int]], ChainVerification] = {}
-            for seq in reversed(life.store.committed_sequences()):
-                chains = {rank: life.store.chain(rank, upto_seq=seq)
-                          for rank in range(self.config.nranks)}
-                if (not self.verify_integrity
-                        or self._candidate_intact(result, life, seq, chains,
-                                                  detected_at, heads)):
+            store = life.store
+            committed = store.committed_sequences()
+            walks = [verify_committed(rank, store.pieces(rank), committed)
+                     for rank in range(store.nranks)]
+            for candidate in zip(*walks):
+                seq = candidate[0][0]
+                intact = True
+                for rank, (_, outcome) in enumerate(candidate):
+                    if outcome.intact:
+                        continue
+                    intact = False
+                    bad = outcome.first_bad
+                    result.corruptions.append(CorruptionDetected(
+                        detected_at=detected_at, life=life.index, rank=rank,
+                        seq=bad.seq, reason=bad.reason, rejected_seq=seq))
+                if intact:
                     return (life.index, seq,
-                            {rank: [p.payload for p in pieces]
-                             for rank, pieces in chains.items()})
+                            {rank: [p.payload for p in
+                                    store.chain(rank, upto_seq=seq)]
+                             for rank in range(store.nranks)})
         return None
-
-    def _candidate_intact(self, result: FaultRunResult, life: LifeResult,
-                          seq: int, chains: dict[int, list],
-                          detected_at: float,
-                          heads: dict[tuple[int, Optional[int]],
-                                      ChainVerification]) -> bool:
-        """Verify every rank's stored chain up to ``seq`` in one life,
-        recording each broken chain.
-
-        Candidates are tried newest first, so each ``(rank, full head)``
-        chain is verified once, at the newest candidate it serves; an
-        older candidate's outcome is the prefix of that verification
-        (:func:`~repro.storage.integrity.prefix_verification`)."""
-        intact = True
-        for rank, chain in chains.items():
-            key = (rank, chain[0].seq if chain else None)
-            newest = heads.get(key)
-            if newest is None:
-                outcome = heads[key] = life.store.verify_chain(
-                    rank, upto_seq=seq, require_seq=seq)
-            else:
-                outcome = prefix_verification(newest, seq)
-            if outcome.intact:
-                continue
-            intact = False
-            bad = outcome.first_bad
-            result.corruptions.append(CorruptionDetected(
-                detected_at=detected_at, life=life.index, rank=rank,
-                seq=bad.seq, reason=bad.reason, rejected_seq=seq))
-        return intact
 
     @staticmethod
     def _progress_at(life: LifeResult, t: float) -> float:
@@ -390,8 +365,6 @@ def run_with_failures(config: ExperimentConfig,
                       interval_slices: Optional[int] = None,
                       full_every: Optional[int] = None,
                       detection_latency: float = 0.25,
-                      read_bandwidth: Optional[float] = None,
-                      verify_integrity: bool = True,
                       integrity_bandwidth: Optional[float] = None,
                       max_failures: int = 1000,
                       ckpt_transport: Optional[str] = None,
@@ -401,7 +374,9 @@ def run_with_failures(config: ExperimentConfig,
 
     The config's ``ckpt_*`` fields set the checkpointing;
     ``interval_slices``, ``full_every`` and ``ckpt_transport``, when
-    given, replace them.
+    given, replace them.  Every recovery verifies the chains it
+    restores; ``integrity_bandwidth``, when given, bills that
+    verification into restore time.
 
     Same config + same plan ⇒ identical traces, failure records, and
     metrics; an empty plan reproduces
@@ -416,6 +391,5 @@ def run_with_failures(config: ExperimentConfig,
         config = config.scaled(**changes)
     return FailureRecoveryDriver(
         config, plan, detection_latency=detection_latency,
-        read_bandwidth=read_bandwidth, verify_integrity=verify_integrity,
         integrity_bandwidth=integrity_bandwidth,
         max_failures=max_failures, obs=obs).run()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -34,9 +33,9 @@ import numpy as np
 
 from repro.atomic import atomic_write
 from repro.errors import StorageError
-from repro.storage.integrity import (ChainVerification, piece_digest,
-                                     prefix_verification, verify_chain)
-from repro.storage.store import CheckpointStore, StoredObject
+from repro.storage.integrity import piece_digest, verify_chain
+from repro.storage.store import (CheckpointStore, StoredObject,
+                                 verify_committed)
 
 MAGIC = b"RCKPT1\n"
 _LEN = struct.Struct("<I")
@@ -312,55 +311,19 @@ def scan_store(path: Union[str, Path]) -> StoreScanReport:
         # every committed sequence promises a verifiable chain for EVERY
         # rank, so ranks whose pieces were lost entirely are checked too
         for rank in range(nranks):
-            for outcome in _verify_committed(rank, chains.get(rank, []),
-                                             committed):
+            outcomes = list(verify_committed(rank, chains.get(rank, []),
+                                             committed))
+            for _, outcome in reversed(outcomes):     # oldest first
                 if not outcome.intact:
                     chain_problems[outcome.summary()] = None
     else:
         for rank in sorted(chains):
-            gens = _generations(chains[rank])
-            outcome = verify_chain(rank, gens[-1] if gens else [])
+            fulls = [i for i, obj in enumerate(chains[rank])
+                     if obj.kind == "full"]
+            outcome = verify_chain(
+                rank, chains[rank][fulls[-1]:] if fulls else [])
             if not outcome.intact:
                 chain_problems[outcome.summary()] = None
     return StoreScanReport(path=str(path), nranks=nranks,
                            committed=committed, pieces=tuple(pieces),
                            chain_problems=tuple(chain_problems))
-
-
-def _generations(chain: list[StoredObject]) -> list[list[StoredObject]]:
-    """Split one rank's pieces into runs that each start at a full
-    checkpoint; deltas before the first full belong to none."""
-    gens: list[list[StoredObject]] = []
-    for obj in chain:
-        if obj.kind == "full":
-            gens.append([])
-        if gens:
-            gens[-1].append(obj)
-    return gens
-
-
-def _verify_committed(rank: int, chain: list[StoredObject],
-                      committed: tuple[int, ...]) -> list[ChainVerification]:
-    """The outcome of :func:`verify_chain` for ``rank``'s chain to each
-    committed sequence, hashing each piece at most once.
-
-    A sequence's recovery chain is the generation of the newest full at
-    or before it, so one verification per generation, up to the newest
-    sequence committed in it, answers every older sequence of the
-    generation through :func:`prefix_verification`."""
-    gens = _generations(chain)
-    heads = [gen[0].seq for gen in gens]
-    by_gen: dict[int, list[int]] = {}
-    for seq in committed:
-        # -1: no full at or before seq
-        by_gen.setdefault(bisect_right(heads, seq) - 1, []).append(seq)
-    outcomes = []
-    for g, seqs in by_gen.items():
-        top = seqs[-1]
-        pieces = [] if g < 0 else [o for o in gens[g] if o.seq <= top]
-        outcome = verify_chain(rank, pieces, target_seq=top,
-                               require_seq=top)
-        outcomes.extend(prefix_verification(outcome, seq) for seq in seqs
-                        if seq != top)
-        outcomes.append(outcome)
-    return outcomes

@@ -17,7 +17,8 @@ store the machinery to make that impossible:
   reports the longest intact prefix, the first bad piece, and why;
 - :func:`prefix_verification` -- derives, without hashing anything, the
   outcome :func:`verify_chain` gives on a prefix of an already verified
-  chain (the walk-back's older candidates under the same full head).
+  chain (older committed sequences under the same full head, as
+  :func:`repro.storage.store.verify_committed` walks them).
 
 Verification is pure: it never mutates the store, and its outcome is a
 deterministic function of the stored bytes -- the same corrupted store

@@ -19,14 +19,15 @@ failure the verification layer exists to catch.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import StorageError
 from repro.storage.integrity import (ChainVerification, piece_digest,
-                                     verify_chain)
+                                     prefix_verification, verify_chain)
 
 
 @dataclass(frozen=True)
@@ -325,3 +326,39 @@ class CheckpointStore:
         return (f"<CheckpointStore nranks={self.nranks} pieces={self.count()} "
                 f"bytes={fmt_bytes(self.total_bytes())} "
                 f"committed={self.latest_committed()}>")
+
+
+def verify_committed(rank: int, pieces: Sequence[StoredObject],
+                     committed: Sequence[int]
+                     ) -> Iterator[tuple[int, ChainVerification]]:
+    """Verify ``rank``'s chain to each committed sequence, newest first:
+    yields ``(seq, outcome)``, ``outcome`` being what :func:`verify_chain`
+    reports on the recovery chain to ``seq`` with ``require_seq=seq``.
+
+    ``pieces`` are the rank's stored pieces, oldest first.  A sequence's
+    recovery chain is the generation (a full and the deltas after it) of
+    the newest full at or before it, so each generation is hashed once,
+    at the newest committed sequence it serves, and every older one it
+    serves is derived through :func:`prefix_verification`.  Lazy: the
+    recovery walk-back stops at the first sequence every rank passes and
+    hashes no generation older than it; ``repro ckpt verify`` reads
+    every sequence.
+    """
+    gens: list[list[StoredObject]] = []
+    for obj in pieces:
+        if obj.kind == "full":
+            gens.append([])
+        if gens:            # deltas before the first full head nothing
+            gens[-1].append(obj)
+    heads = [gen[0].seq for gen in gens]
+    newest: dict[int, ChainVerification] = {}
+    for seq in reversed(committed):
+        g = bisect_right(heads, seq) - 1    # -1: no full at or before seq
+        top = newest.get(g)
+        if top is None:
+            chain = [o for o in gens[g] if o.seq <= seq] if g >= 0 else []
+            top = newest[g] = verify_chain(rank, chain, target_seq=seq,
+                                           require_seq=seq)
+            yield seq, top
+        else:
+            yield seq, prefix_verification(top, seq)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.synthetic import SyntheticApp, small_spec
 from repro.checkpoint import CheckpointEngine, RestartCoordinator, apply_chain
-from repro.checkpoint.recovery import RecoveryManager
+from repro.checkpoint.recovery import RecoveryManager, restore_address_space
 from repro.checkpoint import restart as restart_mod
 from repro.errors import CorruptionError, RecoveryError
 from repro.instrument import InstrumentationLibrary, TrackerConfig
@@ -144,18 +144,24 @@ def test_verified_standalone_read_refuses_a_flipped_piece():
     assert manager.recovery_chain(0)[-1].seq == seq
 
 
+def stored_chains(store, seq):
+    """Every rank's chain to ``seq`` as the store holds it, payloads
+    taken straight from the pieces with no verification."""
+    return {rank: [p.payload for p in store.chain(rank, upto_seq=seq)]
+            for rank in range(store.nranks)}
+
+
 def test_unverified_standalone_restore_refuses_a_flipped_piece():
-    # without integrity verification the flipped chain is read as is,
-    # but restoring it cannot reproduce the state captured at its head
+    # the flipped chain read as is: restoring it cannot reproduce the
+    # state captured at its head
     app, store, seq = flipped_store()
-    manager = RecoveryManager(store, layout=app.layout,
-                              verify_integrity=False)
+    chains = stored_chains(store, seq)
     with pytest.raises(RecoveryError, match=f"restored state differs from "
                                             f"the checkpoint captured at "
                                             f"seq {seq}"):
-        manager.restore_all()
-    assert manager.restore_rank(0).state_digest() == \
-        manager.recovery_chain(0)[-1].state_digest
+        restore_address_space(chains[1], layout=app.layout)
+    assert restore_address_space(chains[0], layout=app.layout) \
+        .state_digest() == chains[0][-1].state_digest
 
 
 def test_unverified_standalone_restart_stops_at_its_start():
@@ -163,7 +169,7 @@ def test_unverified_standalone_restart_stops_at_its_start():
     # refuses it before the restart barrier and halts the engine, so
     # rank 0 never runs on without its peer
     app, store, seq = flipped_store()
-    chains = RecoveryManager(store, verify_integrity=False).recovery_chains()
+    chains = stored_chains(store, seq)
     engine = Engine()
     app2 = SyntheticApp(SPEC, n_iterations=3)
     coordinator = RestartCoordinator(app2, chains)
@@ -188,16 +194,6 @@ def test_restart_refuses_chains_ending_at_different_sequences():
     chains[1] = manager.recovery_chain(1, seq=committed[0])
     with pytest.raises(RecoveryError, match="different sequences"):
         RestartCoordinator(app, chains)
-
-
-def test_unverified_standalone_read_returns_the_stored_chain():
-    app, store, seq = flipped_store()
-    manager = RecoveryManager(store, verify_integrity=False)
-    chain = manager.recovery_chain(1)
-    stored = store.chain(1, upto_seq=seq)
-    assert len(chain) == len(stored) and chain[-1].seq == seq
-    assert all(c is p.payload for c, p in zip(chain, stored))
-    assert not store.verify_chain(1, upto_seq=seq).intact
 
 
 def test_apply_chain_recreates_transient_mmaps():

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import RecoveryError
 
 
 def run_cli(*argv):
@@ -43,21 +44,37 @@ def test_faults_run_with_plan_file(tmp_path):
     assert "rolled back to" in text
 
 
-def test_faults_run_reports_a_refused_restore(tmp_path, capsys):
-    # without integrity verification the flipped newest piece is
-    # restored, and the restore's own digest check refuses it: exit 1
-    # with one line on stderr, not a traceback
+def test_faults_run_reports_a_refused_restore(tmp_path, capsys,
+                                              monkeypatch):
+    # a restore that refuses its chain ends the run: exit 1 with one
+    # line on stderr, not a traceback
+    import repro.faults as faults_mod
+
+    def refused(*args, **kwargs):
+        raise RecoveryError("rank 1: restored state differs from the "
+                            "checkpoint captured at seq 9")
+    monkeypatch.setattr(faults_mod, "run_with_failures", refused)
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"events": [
         {"time": 5.3, "kind": "crash", "rank": 0}]}))
     code, _ = run_cli("faults", "run", "--app", "lu", "--ranks", "2",
                       "--duration", "8", "--timeslice", "0.5",
-                      "--plan", str(plan), "--corrupt", "flip@5.1:1:9",
-                      "--no-verify-integrity")
+                      "--plan", str(plan), "--corrupt", "flip@5.1:1:9")
     assert code == 1
     assert capsys.readouterr().err == (
         "recovery failed: rank 1: restored state differs from the "
         "checkpoint captured at seq 9\n")
+
+
+def test_faults_run_has_no_integrity_off_switch(capsys):
+    # every recovery verifies its chains; the flag that turned that off
+    # is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        run_cli("faults", "run", "--app", "lu", "--ranks", "2",
+                "--no-verify-integrity")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-verify-integrity" in \
+        capsys.readouterr().err
 
 
 def test_faults_run_missing_plan_file(tmp_path, capsys):

@@ -26,7 +26,6 @@ import pytest
 
 from repro.apps.synthetic import small_spec
 from repro.cluster.experiment import ExperimentConfig
-from repro.errors import RecoveryError
 from repro.faults import FaultEvent, FaultKind, FaultPlan, run_with_failures
 
 SPEC = small_spec(name="matrix", footprint_mb=6, main_mb=3, period=1.0,
@@ -155,30 +154,21 @@ def test_corruption_of_uncommitted_tail_never_serves_recovery():
     assert 9 in {c.rejected_seq for c in res.corruptions}
 
 
-def test_without_integrity_the_corruption_restores_garbage(reference):
-    # the pre-change behaviour, kept reachable for contrast: trusting
-    # the commit markers restores a state that never existed, and only
-    # the restore's own state-digest check catches it -- at restore
-    # time, after the damage is done.  The flip must hit the
-    # NEWEST delta: flipped bytes in an older delta are overwritten by
-    # the later ones during replay and the garbage is masked.
+def test_flipped_newest_delta_recovers_from_the_intact_prefix():
+    # trusting the commit markers would restore a state that never
+    # existed; verification rejects the flipped newest delta and the
+    # run recovers from the one before it
     plan = FaultPlan([corruption(FaultKind.FLIP, 5.1, 9), CRASH])
-    with pytest.raises(RecoveryError, match="differs from the checkpoint"):
-        run_matrix(plan, verify_integrity=False)
-    # with integrity verification (the default) the same plan recovers
     res = run_matrix(plan)
     assert res.failures[0].recovered_seq == 7
     assert res.lives[-1].iterations > 0
 
 
-def test_dropped_piece_without_integrity_raises_on_missing_chain():
-    # a DROPPED tail piece without verification: recovery asks the
-    # store for a chain that cannot reach the committed sequence; the
-    # restart refuses chains that end at different sequences
+def test_dropped_newest_piece_walks_back_cleanly():
+    # a DROPPED tail piece leaves a chain that cannot reach the
+    # committed sequence: verification rejects it and walks back
     plan = FaultPlan([corruption(FaultKind.DROP, 5.1, 9), CRASH])
-    with pytest.raises(RecoveryError, match="different sequences"):
-        run_matrix(plan, verify_integrity=False)
-    res = run_matrix(plan)      # with integrity: clean walk-back
+    res = run_matrix(plan)
     assert res.failures[0].recovered_seq == 7
 
 

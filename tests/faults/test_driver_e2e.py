@@ -5,6 +5,7 @@ failure-free run at the same logical time."""
 import pytest
 
 from repro.apps.synthetic import small_spec
+from repro.checkpoint.recovery import estimated_restore_time
 from repro.cluster.experiment import ExperimentConfig, run_experiment
 from repro.cluster.experiment import run_with_failures as experiment_entry
 from repro.errors import FaultPlanError, RecoveryError
@@ -126,6 +127,22 @@ def test_crash_before_first_commit_restarts_from_scratch():
     assert res.final_time > run_reference().final_time
 
 
+def test_restore_reads_the_chain_at_the_cluster_disk_bandwidth():
+    # the restore's read is billed at the configured disk, per rank, and
+    # the slowest rank sets the restore time
+    plan = FaultPlan([FaultEvent(4.2, FaultKind.CRASH, 1)])
+    res = run_with_failures(CONFIG, plan, interval_slices=INTERVAL,
+                            full_every=3)
+    rec = res.failures[0]
+    assert rec.recovered_seq is not None
+    store = res.lives[rec.recovery_life].store
+    assert rec.restore_time == max(
+        estimated_restore_time(
+            [p.payload for p in store.chain(rank, upto_seq=rec.recovered_seq)],
+            CONFIG.cluster.disk.bandwidth)
+        for rank in range(CONFIG.nranks))
+
+
 def test_disk_fault_delays_commit_but_never_breaks_recovery():
     # lose rank 0's checkpoint write at ~2s, then crash at 4.2s: the
     # poisoned sequence must not serve recovery, and the run completes
@@ -192,6 +209,15 @@ def test_driver_parameter_validation():
         FailureRecoveryDriver(CONFIG, FaultPlan.none(), detection_latency=-1.0)
     with pytest.raises(FaultPlanError):
         FailureRecoveryDriver(CONFIG, FaultPlan.none(), max_failures=0)
+    # refused up front, with or without a fault that would need a restore
+    for bandwidth in (0.0, -5.0):
+        with pytest.raises(FaultPlanError, match="integrity bandwidth"):
+            FailureRecoveryDriver(CONFIG, FaultPlan.none(),
+                                  integrity_bandwidth=bandwidth)
+        with pytest.raises(FaultPlanError, match="integrity bandwidth"):
+            run_with_failures(CONFIG,
+                              FaultPlan([FaultEvent(1.0, FaultKind.CRASH, 0)]),
+                              integrity_bandwidth=bandwidth)
     with pytest.raises(FaultPlanError):
         FailureRecoveryDriver(
             CONFIG, FaultPlan([FaultEvent(1.0, FaultKind.CRASH, 99)]))

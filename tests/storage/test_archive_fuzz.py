@@ -17,7 +17,7 @@ from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.cli import main
 from repro.storage import CheckpointStore
 from repro.errors import StorageError
-from repro.storage import archive
+from repro.storage import store as store_mod
 from repro.storage.archive import (MAGIC, _decode_payload, _frame,
                                    save_store, scan_store)
 
@@ -216,13 +216,14 @@ def test_scan_verifies_every_committed_sequence(tmp_path, monkeypatch):
     store.drop_piece(0, 2)
     path = save_store(store, tmp_path / "store.rckpt")
     verified = []
-    verify = archive.verify_chain
+    verify = store_mod.verify_chain
 
     def counting_verify(rank, chain, *args, **kwargs):
         verified.extend((rank, obj.seq) for obj in chain)
         return verify(rank, chain, *args, **kwargs)
 
-    monkeypatch.setattr(archive, "verify_chain", counting_verify)
+    # the scan verifies committed sequences through store.verify_committed
+    monkeypatch.setattr(store_mod, "verify_chain", counting_verify)
     report = scan_must_report(path)
     assert not report.ok and report.n_corrupt == 0
     assert report.chain_problems == (

@@ -1,13 +1,17 @@
 """Unit tests for checkpoint integrity: piece digests, verified chains,
 and the silent-corruption primitives on the store."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.checkpoint.snapshot import Checkpoint, Payload, SegmentRecord
 from repro.errors import StorageError
-from repro.storage import CheckpointStore, piece_digest
+from repro.storage import CheckpointStore, integrity, piece_digest
 from repro.storage.integrity import verify_chain
+from repro.storage.store import verify_committed
 
 PAGE = 256
 
@@ -120,6 +124,53 @@ def test_require_seq_detects_silently_missing_tail():
     assert outcome.verified == (1, 3, 5)       # the prefix is still good
     # without the requirement the shortened chain looks clean
     assert store.verify_chain(0).intact
+
+
+# -- verify_committed ----------------------------------------------------------
+
+
+def test_verify_committed_hashes_no_generation_older_than_it_reads():
+    # two generations: full 1 + delta 3, full 5 + delta 7.  The walk-back
+    # stops at the first sequence every rank passes; reading only that
+    # one must leave the older generation unhashed
+    store = build_store(full_at=(1, 5))
+    for seq in (1, 3, 5, 7):
+        store.mark_committed(seq)
+    hashed = Counter()
+    digest = integrity.piece_digest
+
+    def counting_digest(rank, seq, *args):
+        hashed[seq] += 1
+        return digest(rank, seq, *args)
+
+    with mock.patch.object(integrity, "piece_digest", counting_digest):
+        walk = verify_committed(0, store.pieces(0),
+                                store.committed_sequences())
+        seq, outcome = next(walk)
+        assert seq == 7 and outcome.intact
+        assert outcome.verified == (5, 7)
+        assert hashed == {5: 1, 7: 1}
+        rest = list(walk)
+    assert [s for s, _ in rest] == [5, 3, 1]
+    assert all(o.intact for _, o in rest)
+    assert hashed == {1: 1, 3: 1, 5: 1, 7: 1}     # each piece once
+
+
+def test_verify_committed_without_a_full_head_is_missing_base():
+    # the full heading the only generation is lost: every committed
+    # sequence reports what verify_chain reports on an empty chain
+    store = build_store()
+    for seq in (3, 7):
+        store.mark_committed(seq)
+    store.drop_piece(0, 1)
+    walk = list(verify_committed(0, store.pieces(0),
+                                 store.committed_sequences()))
+    assert [seq for seq, _ in walk] == [7, 3]
+    for seq, outcome in walk:
+        assert not outcome.intact
+        assert outcome.first_bad.reason == "missing-base"
+        assert outcome == verify_chain(0, [], target_seq=seq,
+                                       require_seq=seq)
 
 
 # -- flip_bits -----------------------------------------------------------------

@@ -6,14 +6,21 @@ outcome with :func:`~repro.storage.integrity.prefix_verification`.  The
 derivation must equal :func:`~repro.storage.integrity.verify_chain` run
 on the truncated chain -- same pieces, reasons and ``missing-target``
 rule -- for every committed sequence, whatever silent corruption (FLIP,
-TRUNCATE, DROP) hit whichever pieces.
+TRUNCATE, DROP) hit whichever pieces.  The one walk both the recovery
+walk-back and ``repro ckpt verify`` read,
+:func:`~repro.storage.store.verify_committed`, is held to the same
+oracle.
 """
+
+from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import CheckpointStore
+from repro.storage import CheckpointStore, integrity
 from repro.storage.integrity import prefix_verification, verify_chain
+from repro.storage.store import verify_committed
 from tests.storage.test_integrity import make_ckpt
 
 corruptions = st.lists(
@@ -60,3 +67,24 @@ def test_prefix_equals_verify_chain_on_the_truncated_chain(nseqs, fulls,
                 # same full head: what the walk-back reads for ``seq``
                 assert want == store.verify_chain(0, upto_seq=seq,
                                                   require_seq=seq)
+
+    # the shared walk: the same outcome for every committed sequence,
+    # newest first, each piece hashed at most once (generations
+    # partition the pieces)
+    hashed = Counter()
+    digest = integrity.piece_digest
+
+    def counting_digest(rank, seq, *args):
+        hashed[seq] += 1
+        return digest(rank, seq, *args)
+
+    committed = store.committed_sequences()
+    with mock.patch.object(integrity, "piece_digest", counting_digest):
+        walk = list(verify_committed(0, store.pieces(0), committed))
+    assert [seq for seq, _ in walk] == committed[::-1]
+    for seq, outcome in walk:
+        assert outcome == verify_chain(0, store.chain(0, upto_seq=seq),
+                                       target_seq=seq, require_seq=seq), seq
+    assert all(n == 1 for n in hashed.values())
+    if store.chain(0, upto_seq=committed[-1]):
+        assert hashed       # the newest chain's head was hashed here
